@@ -1,15 +1,13 @@
 """Noisy-label learning with prototype-guided correction, in plain numpy.
 
-The pieces compose in pipeline.run_protosemi: generate or load a noisy
-dataset, warm up a small MLP, split samples by prediction agreement,
+The pieces compose in pipeline.run_with_artifacts: generate or load a
+noisy dataset, warm up a small MLP, split samples by prediction agreement,
 correct suspect labels against class prototypes, and finish with
 semi-supervised training.  Each stage is importable on its own.
 """
 
 from .data import (
-    NoiseSpec,
     NoisyDataset,
-    Sample,
     generate_blobs,
     inject_ambiguity_noise,
     inject_factual_noise,
@@ -40,13 +38,10 @@ from .net import (
     Network,
     TrainConfig,
     cosine_lr,
-    cross_entropy,
     cross_entropy_grads,
     epoch_shuffle_rng,
     init_network,
-    load_network,
     one_hot,
-    save_network,
     softmax,
     train_epoch,
 )
@@ -60,8 +55,6 @@ from .pipeline import (
     export_embeddings,
     parse_report,
     repartition_rng,
-    run_ablation,
-    run_protosemi,
     run_with_artifacts,
     write_report,
     write_stats_csv,
@@ -78,7 +71,6 @@ from .select import (
     load_correction_log,
     repartition,
     save_correction_log,
-    similarity_to_prototypes,
     split_by_agreement,
 )
 
@@ -87,19 +79,17 @@ __version__ = "0.1.0"
 __all__ = [
     "CorrectionEpoch", "CorrectionRecord", "DegenerateClassError",
     "DegenerateGeometryError", "EpochRecord", "FormatError", "Network",
-    "NoiseSpec", "NoisyDataset", "ParameterError", "Partition",
-    "PipelineConfig", "ProtoSemiError", "PrototypeMatrix", "RunReport",
-    "RunResult", "Sample", "SemiConfig", "StatsRow", "Thresholds",
-    "TrainConfig", "augment", "brier_grads", "build_prototypes",
-    "correction_probability", "correction_stats", "cosine_lr",
-    "cross_entropy", "cross_entropy_grads", "epoch_shuffle_rng", "evaluate",
-    "export_embeddings", "generate_blobs", "guess_labels", "init_network",
-    "inject_ambiguity_noise", "inject_factual_noise", "lambda_ramp",
-    "load_correction_log", "load_dataset", "load_network", "mix_rng",
-    "mixup", "one_hot", "parse_report", "repartition", "repartition_rng",
-    "round_half_away", "run_ablation", "run_protosemi", "run_with_artifacts",
-    "save_correction_log", "save_dataset", "save_network",
-    "semi_train_epoch", "sharpen", "similarity_to_prototypes", "softmax",
-    "split_by_agreement", "split_heldout", "train_epoch", "write_report",
-    "write_stats_csv",
+    "NoisyDataset", "ParameterError", "Partition", "PipelineConfig",
+    "ProtoSemiError", "PrototypeMatrix", "RunReport", "RunResult",
+    "SemiConfig", "StatsRow", "Thresholds", "TrainConfig", "augment",
+    "brier_grads", "build_prototypes", "correction_probability",
+    "correction_stats", "cosine_lr", "cross_entropy_grads",
+    "epoch_shuffle_rng", "evaluate", "export_embeddings", "generate_blobs",
+    "guess_labels", "init_network", "inject_ambiguity_noise",
+    "inject_factual_noise", "lambda_ramp", "load_correction_log",
+    "load_dataset", "mix_rng", "mixup", "one_hot", "parse_report",
+    "repartition", "repartition_rng", "round_half_away", "run_with_artifacts",
+    "save_correction_log", "save_dataset", "semi_train_epoch", "sharpen",
+    "softmax", "split_by_agreement", "split_heldout", "train_epoch",
+    "write_report", "write_stats_csv",
 ]

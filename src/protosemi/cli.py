@@ -24,9 +24,8 @@ from .errors import (
     FormatError,
     ParameterError,
 )
-from .mixmatch import SemiConfig
-from .net import TrainConfig
 from .pipeline import (
+    CONFIG_FIELDS,
     VARIANTS,
     PipelineConfig,
     export_embeddings,
@@ -35,7 +34,6 @@ from .pipeline import (
     write_stats_csv,
 )
 from .select import (
-    Thresholds,
     build_prototypes,
     correction_stats,
     load_correction_log,
@@ -43,22 +41,14 @@ from .select import (
     split_by_agreement,
 )
 
-_REQUIRED_KEYS = (
-    "hidden_dims", "warmup_epochs", "proto_split_epochs", "main_epochs",
-    "alpha", "beta", "base_lr", "batch_size", "weight_decay",
-    "k_aug", "temperature", "mix_alpha", "lambda_u", "aug_sigma", "seed",
-)
-# provenance keys: checked for well-formedness, not used by training
-_OPTIONAL_KEYS = ("eval_split", "noise_type", "noise_rate", "noise_seed")
-
-_INT_KEYS = {"warmup_epochs", "proto_split_epochs", "main_epochs",
-             "batch_size", "k_aug", "seed", "noise_seed"}
-_FLOAT_KEYS = {"alpha", "beta", "base_lr", "weight_decay", "temperature",
-               "mix_alpha", "lambda_u", "aug_sigma", "eval_split", "noise_rate"}
+# provenance of the matching dataset: checked for well-formedness, never
+# passed to training
+_PROVENANCE_KEYS = ("noise_type", "noise_rate", "noise_seed")
 
 
 def parse_config_file(path) -> PipelineConfig:
     """Read a key=value run config; unknown or missing keys are errors."""
+    known = {f.key for f in CONFIG_FIELDS}.union(_PROVENANCE_KEYS)
     values: dict[str, str] = {}
     with open(path, encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -69,60 +59,30 @@ def parse_config_file(path) -> PipelineConfig:
             if not eq:
                 raise FormatError(f"{path} line {lineno}: expected key=value")
             key, value = key.strip(), value.strip()
-            if key not in _REQUIRED_KEYS and key not in _OPTIONAL_KEYS:
+            if key not in known:
                 raise FormatError(f"{path} line {lineno}: unknown key {key!r}")
             if key in values:
                 raise FormatError(f"{path} line {lineno}: duplicate key {key!r}")
             values[key] = value
-    for key in _REQUIRED_KEYS:
-        if key not in values:
-            raise FormatError(f"{path}: missing required key {key!r}")
+    missing = [f.key for f in CONFIG_FIELDS if f.required and f.key not in values]
+    if missing:
+        raise FormatError(f"{path}: missing required key {', '.join(map(repr, missing))}")
 
-    def parse(key: str):
-        raw = values[key]
+    def parse(key: str, parser):
         try:
-            if key == "hidden_dims":
-                return tuple(int(part) for part in raw.split(","))
-            if key in _INT_KEYS:
-                return int(raw)
-            if key in _FLOAT_KEYS:
-                return float(raw)
+            return parser(values[key])
         except ValueError:
-            raise FormatError(f"{path}: key {key!r} has unparsable value {raw!r}") from None
-        return raw
+            raise FormatError(
+                f"{path}: key {key!r} has unparsable value {values[key]!r}") from None
 
     if "noise_type" in values and values["noise_type"] not in ("factual", "ambiguity"):
         raise FormatError(f"{path}: noise_type must be factual or ambiguity")
-    if "noise_rate" in values and not 0.0 <= parse("noise_rate") <= 1.0:
+    if "noise_rate" in values and not 0.0 <= parse("noise_rate", float) <= 1.0:
         raise FormatError(f"{path}: noise_rate must lie in [0, 1]")
     if "noise_seed" in values:
-        parse("noise_seed")
-
-    warmup = parse("warmup_epochs")
-    main_epochs = parse("main_epochs")
-    return PipelineConfig(
-        hidden_dims=parse("hidden_dims"),
-        warmup_epochs=warmup,
-        proto_split_epochs=parse("proto_split_epochs"),
-        main_epochs=main_epochs,
-        thresholds=Thresholds(alpha=parse("alpha"), beta=parse("beta")),
-        train=TrainConfig(
-            base_lr=parse("base_lr"),
-            total_epochs=warmup + main_epochs,
-            batch_size=parse("batch_size"),
-            weight_decay=parse("weight_decay"),
-            seed=parse("seed"),
-        ),
-        semi=SemiConfig(
-            k_aug=parse("k_aug"),
-            temperature=parse("temperature"),
-            mix_alpha=parse("mix_alpha"),
-            lambda_u=parse("lambda_u"),
-            aug_sigma=parse("aug_sigma"),
-        ),
-        eval_split=parse("eval_split") if "eval_split" in values else 0.2,
-        seed=parse("seed"),
-    )
+        parse("noise_seed", int)
+    return PipelineConfig.from_fields(
+        {f.key: parse(f.key, f.parse) for f in CONFIG_FIELDS if f.key in values})
 
 
 def _cmd_gen_data(args) -> int:
@@ -159,17 +119,18 @@ def _cmd_train(args) -> int:
     heldout = load_dataset(args.heldout)
     result = run_with_artifacts(dataset, heldout, config, args.variant)
     report = result.report
+    if args.export_embeddings:
+        # the run's corrected labels, split first so an abort writes no file
+        partition = split_by_agreement(result.net, result.dataset)
+        prototypes = build_prototypes(result.net, result.dataset, partition)
+        export_embeddings(result.net, result.dataset, partition, prototypes,
+                          args.export_embeddings)
 
     write_report(report, args.report)
     for epoch, log in result.correction_logs:
         save_correction_log(log, dataset, f"{args.report}.corrections-epoch{epoch}.csv")
     if report.corrections:
         write_stats_csv(report.corrections, f"{args.report}.stats.csv")
-    if args.export_embeddings:
-        partition = split_by_agreement(result.net, dataset)
-        prototypes = build_prototypes(result.net, dataset, partition)
-        export_embeddings(result.net, dataset, partition, prototypes,
-                          args.export_embeddings)
 
     print(f"variant={report.variant} seed={report.seed} epochs={len(report.epochs)}")
     print(f"best accuracy  {report.best_accuracy:.4f} (epoch {report.best_epoch})")

@@ -29,38 +29,14 @@ def round_half_away(x: float) -> int:
     return -int(math.floor(-x + 0.5))
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Provenance record of the corruption applied to the working labels."""
-
-    noise_type: str  # "none", "factual", or "ambiguity"
-    rate: float
-    seed: int
-
-
-@dataclass(frozen=True)
-class Sample:
-    """Read-only view of one dataset row."""
-
-    features: np.ndarray
-    working_label: int
-    true_label: int
-
-
 @dataclass(eq=False)
 class NoisyDataset:
-    """Feature vectors with mutable working labels and fixed true labels.
-
-    ``noise_spec`` records how the working labels were produced.  It is
-    provenance only: the on-disk format does not carry it, so it is
-    excluded from equality.
-    """
+    """Feature vectors with mutable working labels and fixed true labels."""
 
     features: np.ndarray        # (n, dim) float64
     working_labels: np.ndarray  # (n,) int64, mutated by label correction
     true_labels: np.ndarray     # (n,) int64, evaluation only
     num_classes: int
-    noise_spec: NoiseSpec | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -91,9 +67,6 @@ class NoisyDataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def sample(self, i: int) -> Sample:
-        return Sample(self.features[i], int(self.working_labels[i]), int(self.true_labels[i]))
-
     def noise_rate(self) -> float:
         """Fraction of samples whose working label differs from the true one."""
         return float(np.mean(self.working_labels != self.true_labels))
@@ -104,7 +77,6 @@ class NoisyDataset:
             self.working_labels.copy(),
             self.true_labels.copy(),
             self.num_classes,
-            self.noise_spec,
         )
 
     def __eq__(self, other):
@@ -168,7 +140,6 @@ def generate_blobs(num_classes: int, per_class: int, dim: int,
         working_labels=true.copy(),
         true_labels=true,
         num_classes=num_classes,
-        noise_spec=NoiseSpec("none", 0.0, seed),
     )
 
 
@@ -200,7 +171,6 @@ def inject_factual_noise(ds: NoisyDataset, rate: float, seed: int) -> NoisyDatas
         working_labels=working,
         true_labels=ds.true_labels.copy(),
         num_classes=k,
-        noise_spec=NoiseSpec("factual", rate, seed),
     )
 
 
@@ -236,7 +206,6 @@ def inject_ambiguity_noise(ds: NoisyDataset, rate: float, seed: int) -> NoisyDat
         working_labels=working,
         true_labels=ds.true_labels.copy(),
         num_classes=k,
-        noise_spec=NoiseSpec("ambiguity", rate, seed),
     )
 
 
@@ -263,7 +232,6 @@ def split_heldout(ds: NoisyDataset, fraction: float, seed: int) -> tuple[NoisyDa
             working_labels=ds.working_labels[mask].copy(),
             true_labels=ds.true_labels[mask].copy(),
             num_classes=ds.num_classes,
-            noise_spec=ds.noise_spec,
         )
 
     return _subset(~held_mask), _subset(held_mask)

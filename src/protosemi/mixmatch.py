@@ -212,7 +212,7 @@ def semi_train_epoch(net: Network, confident_view, unconfident_view,
         pb = one_hot(yl[idx], net.num_classes)
 
         if use_unlabeled:
-            take = np.take(u_order, np.arange(u_offset, u_offset + len(idx)), mode="wrap")
+            take = u_order[np.arange(u_offset, u_offset + len(idx)) % u_order.size]
             u_offset += len(idx)
             qb = guess_labels(net, xu[take], semi_config.k_aug,
                               semi_config.temperature, sigma, rng)

@@ -10,15 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ParameterError
+from .errors import ParameterError
 
-ACTIVATION = "tanh"
-NET_HEADER = "protosemi-net"
-_FLOAT_FMT = "%.17g"
 _SHUFFLE_STREAM = 0  # rng stream tag for per-epoch batch shuffling
 
 
@@ -46,11 +42,10 @@ class TrainConfig:
 class Network:
     """Multilayer perceptron: tanh hidden layers, linear output logits."""
 
-    def __init__(self, layer_dims, weights, biases, rng_seed=None):
+    def __init__(self, layer_dims, weights, biases):
         self.layer_dims = [int(d) for d in layer_dims]
         self.weights = weights  # weights[l]: (dims[l], dims[l+1])
         self.biases = biases
-        self.rng_seed = rng_seed
 
     @property
     def input_dim(self) -> int:
@@ -63,9 +58,6 @@ class Network:
     @property
     def embed_dim(self) -> int:
         return self.layer_dims[-2]
-
-    def num_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -129,7 +121,6 @@ class Network:
             list(self.layer_dims),
             [w.copy() for w in self.weights],
             [b.copy() for b in self.biases],
-            self.rng_seed,
         )
 
     def params_equal(self, other: "Network") -> bool:
@@ -156,7 +147,7 @@ def init_network(layer_dims, seed: int) -> Network:
         scale = 1.0 / math.sqrt(fan_in)
         weights.append(rng.uniform(-scale, scale, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return Network(dims, weights, biases, rng_seed=seed)
+    return Network(dims, weights, biases)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -165,17 +156,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def cross_entropy(logits: np.ndarray, label: int) -> float:
-    """-log softmax(logits)[label], stabilized by max subtraction."""
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1:
-        raise ParameterError("cross_entropy expects a single logit vector")
-    if not 0 <= label < z.shape[0]:
-        raise ParameterError(f"label {label} out of range for {z.shape[0]} classes")
-    shifted = z - z.max()
-    return float(np.log(np.exp(shifted).sum()) - shifted[label])
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -240,68 +220,3 @@ def train_epoch(net: Network, features: np.ndarray, labels: np.ndarray,
         net.sgd_step(grads_w, grads_b, lr, config.weight_decay)
         total_loss += loss * len(idx)
     return total_loss / n
-
-
-def save_network(net: Network, path) -> None:
-    """Checkpoint in the line-oriented text format of ``load_network``."""
-    dims = ",".join(str(d) for d in net.layer_dims)
-    lines = [f"{NET_HEADER} v1 dims={dims} activation={ACTIVATION}"]
-    for w, b in zip(net.weights, net.biases):
-        for row in w:
-            lines.append(" ".join(_FLOAT_FMT % v for v in row))
-        lines.append(" ".join(_FLOAT_FMT % v for v in b))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-def load_network(path) -> Network:
-    """Read a checkpoint written by ``save_network``."""
-    lines = Path(path).read_text(encoding="ascii").splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise FormatError(f"{path}: empty file")
-    header = lines[0].split()
-    if (
-        len(header) != 4
-        or header[0] != NET_HEADER
-        or header[1] != "v1"
-        or not header[2].startswith("dims=")
-        or not header[3].startswith("activation=")
-    ):
-        raise FormatError(f"line 1: bad header {lines[0]!r}")
-    if header[3] != f"activation={ACTIVATION}":
-        raise FormatError(f"line 1: unsupported {header[3]}")
-    try:
-        dims = [int(t) for t in header[2][len("dims="):].split(",")]
-    except ValueError:
-        raise FormatError("line 1: unparsable layer dims") from None
-    if len(dims) < 3 or any(d < 1 for d in dims):
-        raise FormatError("line 1: invalid layer dims")
-
-    expected = sum(fan_in + 1 for fan_in in dims[:-1])
-    if len(lines) - 1 != expected:
-        raise FormatError(f"expected {expected} parameter lines, found {len(lines) - 1}")
-
-    def parse_row(lineno: int, width: int) -> np.ndarray:
-        parts = lines[lineno - 1].split()
-        if len(parts) != width:
-            raise FormatError(f"line {lineno}: expected {width} values, got {len(parts)}")
-        try:
-            row = np.array([float(p) for p in parts])
-        except ValueError:
-            raise FormatError(f"line {lineno}: unparsable value") from None
-        if not np.all(np.isfinite(row)):
-            raise FormatError(f"line {lineno}: non-finite value")
-        return row
-
-    weights, biases = [], []
-    lineno = 2
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        w = np.empty((fan_in, fan_out))
-        for r in range(fan_in):
-            w[r] = parse_row(lineno, fan_out)
-            lineno += 1
-        weights.append(w)
-        biases.append(parse_row(lineno, fan_out))
-        lineno += 1
-    return Network(dims, weights, biases)

@@ -12,7 +12,8 @@ on an internal copy).
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,18 +38,51 @@ VARIANTS = ("full", "no_repar", "no_semi")
 
 _REPARTITION_STREAM = 2  # rng stream tag; shuffle owns 0, mixing owns 1
 
-# header key order of the report file; also the config-echo contract
-_ECHO_KEYS = (
-    "hidden_dims", "warmup_epochs", "proto_split_epochs", "main_epochs",
-    "alpha", "beta", "base_lr", "batch_size", "weight_decay",
-    "k_aug", "temperature", "mix_alpha", "lambda_u", "aug_sigma",
-    "eval_split", "seed",
-)
-
 _EPOCH_COLUMNS = ("epoch", "phase", "loss_labeled", "loss_unlabeled",
                   "confident", "unconfident", "heldout_accuracy")
 _CORRECTION_COLUMNS = ("epoch", "unconfident_size", "small_circle",
                        "corrected", "right", "accuracy_pct")
+
+
+def _parse_dims(text: str) -> tuple:
+    return tuple(int(part) for part in text.split(","))
+
+
+class ConfigField(NamedTuple):
+    """One run-config key: its text parser and where PipelineConfig keeps it."""
+
+    key: str
+    parse: Callable[[str], object]
+    part: str | None = None  # None: PipelineConfig itself; else thresholds, train or semi
+    required: bool = True
+
+    def text(self, value) -> str:
+        """Config-file text of a value; floats round-trip through repr."""
+        if self.parse is _parse_dims:
+            return ",".join(str(d) for d in value)
+        return repr(value) if self.parse is float else str(value)
+
+
+# the run-config schema, in report-header order: it drives config-file
+# parsing, the config echo, and the report header
+CONFIG_FIELDS = (
+    ConfigField("hidden_dims", _parse_dims),
+    ConfigField("warmup_epochs", int),
+    ConfigField("proto_split_epochs", int),
+    ConfigField("main_epochs", int),
+    ConfigField("alpha", float, "thresholds"),
+    ConfigField("beta", float, "thresholds"),
+    ConfigField("base_lr", float, "train"),
+    ConfigField("batch_size", int, "train"),
+    ConfigField("weight_decay", float, "train"),
+    ConfigField("k_aug", int, "semi"),
+    ConfigField("temperature", float, "semi"),
+    ConfigField("mix_alpha", float, "semi"),
+    ConfigField("lambda_u", float, "semi"),
+    ConfigField("aug_sigma", float, "semi"),
+    ConfigField("eval_split", float, required=False),
+    ConfigField("seed", int),
+)
 
 
 @dataclass(frozen=True)
@@ -99,26 +133,26 @@ class PipelineConfig:
     def total_epochs(self) -> int:
         return self.warmup_epochs + self.main_epochs
 
+    @classmethod
+    def from_fields(cls, values: dict) -> "PipelineConfig":
+        """Build from parsed values keyed as in CONFIG_FIELDS; optional ones may be absent."""
+        parts = {None: {}, "thresholds": {}, "train": {}, "semi": {}}
+        for f in CONFIG_FIELDS:
+            if f.key in values:
+                parts[f.part][f.key] = values[f.key]
+        top = parts[None]
+        return cls(
+            thresholds=Thresholds(**parts["thresholds"]),
+            train=TrainConfig(total_epochs=top["warmup_epochs"] + top["main_epochs"],
+                              **parts["train"]),
+            semi=SemiConfig(**parts["semi"]),
+            **top,
+        )
+
     def echo(self) -> dict:
         """Flat key=value view of the effective config, CLI-file style."""
-        return {
-            "hidden_dims": ",".join(str(d) for d in self.hidden_dims),
-            "warmup_epochs": str(self.warmup_epochs),
-            "proto_split_epochs": str(self.proto_split_epochs),
-            "main_epochs": str(self.main_epochs),
-            "alpha": repr(self.thresholds.alpha),
-            "beta": repr(self.thresholds.beta),
-            "base_lr": repr(self.train.base_lr),
-            "batch_size": str(self.train.batch_size),
-            "weight_decay": repr(self.train.weight_decay),
-            "k_aug": str(self.semi.k_aug),
-            "temperature": repr(self.semi.temperature),
-            "mix_alpha": repr(self.semi.mix_alpha),
-            "lambda_u": repr(self.semi.lambda_u),
-            "aug_sigma": repr(self.semi.aug_sigma),
-            "eval_split": repr(self.eval_split),
-            "seed": str(self.seed),
-        }
+        return {f.key: f.text(getattr(getattr(self, f.part) if f.part else self, f.key))
+                for f in CONFIG_FIELDS}
 
 
 @dataclass(frozen=True)
@@ -162,6 +196,7 @@ class RunResult:
 
     report: RunReport
     net: Network
+    dataset: NoisyDataset  # the run's copy, with its corrected working labels
     correction_logs: list  # [(epoch, [CorrectionRecord, ...]), ...]
 
 
@@ -180,7 +215,7 @@ def evaluate(net: Network, heldout: NoisyDataset) -> float:
 
 def run_with_artifacts(dataset: NoisyDataset, heldout: NoisyDataset,
                        config: PipelineConfig, variant: str = "full") -> RunResult:
-    """Run one variant end to end, keeping the net and correction logs.
+    """Run one variant end to end, keeping the net, labels and correction logs.
 
     Variants: full (the whole method), no_repar (label correction
     disabled), no_semi (warm-up only, stopping before the main loop).
@@ -218,6 +253,8 @@ def run_with_artifacts(dataset: NoisyDataset, heldout: NoisyDataset,
                 ) from err
             corrections.append(CorrectionEpoch(epoch, correction_stats(log, ds)))
             logs.append((epoch, log))
+        if part.confident_idx.size == 0:
+            raise DegenerateClassError(f"epoch {epoch}: no confident samples to train on")
         loss_l, loss_u = semi_train_epoch(
             net,
             (ds.features[part.confident_idx], part.confident_labels),
@@ -241,19 +278,7 @@ def run_with_artifacts(dataset: NoisyDataset, heldout: NoisyDataset,
         best_accuracy=accuracies[best_epoch],
         best_epoch=best_epoch,
     )
-    return RunResult(report=report, net=net, correction_logs=logs)
-
-
-def run_protosemi(dataset: NoisyDataset, heldout: NoisyDataset,
-                  config: PipelineConfig) -> RunReport:
-    """The full method; see :func:`run_with_artifacts`."""
-    return run_with_artifacts(dataset, heldout, config, "full").report
-
-
-def run_ablation(dataset: NoisyDataset, heldout: NoisyDataset,
-                 config: PipelineConfig, variant: str) -> RunReport:
-    """One named variant: full, no_repar, or no_semi."""
-    return run_with_artifacts(dataset, heldout, config, variant).report
+    return RunResult(report=report, net=net, dataset=ds, correction_logs=logs)
 
 
 def export_embeddings(net: Network, dataset: NoisyDataset, partition: Partition,
@@ -302,8 +327,8 @@ def write_report(report: RunReport, path) -> None:
     """Serialize a report: key=value header, then two CSV blocks."""
     lines = [f"{REPORT_HEADER} v1"]
     lines.append(f"variant={report.variant}")
-    for key in _ECHO_KEYS:
-        lines.append(f"{key}={report.config_echo[key]}")
+    for f in CONFIG_FIELDS:
+        lines.append(f"{f.key}={report.config_echo[f.key]}")
     lines.append(f"final_accuracy={report.final_accuracy!r}")
     lines.append(f"best_accuracy={report.best_accuracy!r}")
     lines.append(f"best_epoch={report.best_epoch}")
@@ -343,8 +368,8 @@ def parse_report(path) -> RunReport:
     pos = 1
     pos, variant = take_kv(pos, "variant")
     echo = {}
-    for key in _ECHO_KEYS:
-        pos, echo[key] = take_kv(pos, key)
+    for f in CONFIG_FIELDS:
+        pos, echo[f.key] = take_kv(pos, f.key)
     pos, final_acc = take_kv(pos, "final_accuracy")
     pos, best_acc = take_kv(pos, "best_accuracy")
     pos, best_epoch = take_kv(pos, "best_epoch")

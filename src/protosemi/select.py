@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -169,12 +168,6 @@ def cosine_to_rows(vec: np.ndarray, rows: np.ndarray) -> np.ndarray:
         zero = int(np.argmin(row_norms))
         raise DegenerateGeometryError(f"prototype row {zero} is the zero vector")
     return np.clip((rows @ vec) / (row_norms * vec_norm), -1.0, 1.0)
-
-
-def similarity_to_prototypes(net: Network, x: np.ndarray,
-                             prototypes: PrototypeMatrix) -> np.ndarray:
-    """Cosine similarity between the embedding of x and every prototype."""
-    return cosine_to_rows(net.embed(x), prototypes.rows)
 
 
 def correction_probability(d_max: float, thresholds: Thresholds) -> float:

@@ -1,5 +1,7 @@
 """Command-line behavior: outputs, artifact files, and exit codes."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,16 @@ from protosemi.cli import main, parse_config_file
 from protosemi.data import load_dataset, round_half_away, save_dataset, NoisyDataset
 from protosemi.errors import FormatError
 from protosemi.net import init_network
-from protosemi.pipeline import parse_report
-from protosemi.select import CorrectionRecord, correction_stats, load_correction_log, save_correction_log
+from protosemi.pipeline import parse_report, run_with_artifacts
+from protosemi.select import (
+    CorrectionRecord,
+    correction_stats,
+    load_correction_log,
+    save_correction_log,
+    split_by_agreement,
+)
+
+REPO = Path(__file__).resolve().parents[1]
 
 CONFIG_DEFAULTS = {
     "hidden_dims": "16,8",
@@ -162,6 +172,27 @@ class TestTrain:
         assert lines[0].startswith("row_type,label,true_label,e0")
         assert sum(1 for ln in lines if ln.startswith("prototype,")) == 3
 
+    def test_embedding_export_uses_the_runs_corrected_labels(
+            self, dataset_files, tmp_path, capsys):
+        train, heldout = dataset_files
+        # a narrow ring leaves a few samples unconfident after correction
+        config = write_config(tmp_path / "run.cfg", alpha="0.99", beta="0.9")
+        emb = tmp_path / "emb.csv"
+        assert main(["train", "--config", str(config), "--data", str(train),
+                     "--heldout", str(heldout), "--report", str(tmp_path / "r"),
+                     "--export-embeddings", str(emb)]) == 0
+        result = run_with_artifacts(load_dataset(train), load_dataset(heldout),
+                                    parse_config_file(config))
+        final = result.dataset
+        unconfident = split_by_agreement(result.net, final).unconfident_idx
+        rows = [ln.split(",") for ln in emb.read_text().splitlines()
+                if ln.startswith("sample,")]
+        assert rows
+        assert [int(r[1]) for r in rows] == final.working_labels[unconfident].tolist()
+        assert [int(r[2]) for r in rows] == final.true_labels[unconfident].tolist()
+        coords = np.array([[float(v) for v in r[3:]] for r in rows])
+        assert np.array_equal(coords, result.net.embed(final.features[unconfident]))
+
     def test_missing_data_file(self, tmp_path, capsys):
         config = write_config(tmp_path / "run.cfg")
         code = main(["train", "--config", str(config),
@@ -196,6 +227,29 @@ class TestTrain:
         assert code == 3
         err = capsys.readouterr().err
         assert "epoch 1:" in err and "class 0" in err
+
+    def test_no_confident_sample_exits_three(self, tmp_path, capsys):
+        # base_lr=0 freezes the net at init; labelling every sample one
+        # class past its prediction leaves nothing confident after warm-up
+        seed = 123
+        net = init_network([4, 6, 3], seed)
+        feats = np.random.default_rng(5).standard_normal((30, 4))
+        working = (np.argmax(net.forward(feats), axis=1) + 1) % 3
+        true = np.arange(30) % 3
+        save_dataset(NoisyDataset(feats, working, true, 3), tmp_path / "t.ds")
+        save_dataset(NoisyDataset(feats[:9].copy(), true[:9].copy(), true[:9].copy(), 3),
+                     tmp_path / "h.ds")
+        config = write_config(
+            tmp_path / "run.cfg", hidden_dims="6", warmup_epochs="1",
+            proto_split_epochs="0", main_epochs="1", base_lr="0.0",
+            batch_size="8", seed=str(seed))
+        report = tmp_path / "r"
+        code = main(["train", "--config", str(config), "--data", str(tmp_path / "t.ds"),
+                     "--heldout", str(tmp_path / "h.ds"), "--variant", "no_repar",
+                     "--report", str(report)])
+        assert code == 3
+        assert "epoch 1:" in capsys.readouterr().err
+        assert not report.exists()
 
 
 class TestConfigFile:
@@ -232,6 +286,19 @@ class TestConfigFile:
         path = write_config(tmp_path / "run.cfg", **overrides)
         with pytest.raises(FormatError):
             parse_config_file(path)
+
+    def test_missing_keys_named_in_table_order(self, tmp_path):
+        path = write_config(tmp_path / "run.cfg", seed=None, alpha=None)
+        with pytest.raises(FormatError, match="'alpha', 'seed'"):
+            parse_config_file(path)
+
+    @pytest.mark.parametrize("name", ["configs/benchmark.cfg",
+                                      "perfbench/configs/supervised.cfg"])
+    def test_echo_parses_back_to_the_same_config(self, tmp_path, name):
+        cfg = parse_config_file(REPO / name)
+        path = tmp_path / "echo.cfg"
+        path.write_text("".join(f"{k}={v}\n" for k, v in cfg.echo().items()))
+        assert parse_config_file(path) == cfg
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = write_config(tmp_path / "run.cfg")

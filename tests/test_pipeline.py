@@ -18,8 +18,6 @@ from protosemi.pipeline import (
     evaluate,
     export_embeddings,
     parse_report,
-    run_ablation,
-    run_protosemi,
     run_with_artifacts,
     write_report,
     write_stats_csv,
@@ -134,7 +132,7 @@ class TestEvaluate:
 class TestRunShape:
     def test_full_run_epoch_trace(self):
         train, heldout = noisy_scenario()
-        report = run_protosemi(train, heldout, small_config())
+        report = run_with_artifacts(train, heldout, small_config()).report
         assert [r.epoch for r in report.epochs] == list(range(7))
         assert [r.phase for r in report.epochs] == ["warmup"] * 4 + ["semi"] * 3
         for r in report.epochs[:4]:
@@ -145,57 +143,49 @@ class TestRunShape:
 
     def test_correction_epochs_match_proto_window(self):
         train, heldout = noisy_scenario()
-        report = run_protosemi(train, heldout, small_config())
+        report = run_with_artifacts(train, heldout, small_config()).report
         assert [c.epoch for c in report.corrections] == [4, 5]
 
     def test_no_semi_stops_after_warmup(self):
         train, heldout = noisy_scenario()
-        report = run_ablation(train, heldout, small_config(), "no_semi")
+        report = run_with_artifacts(train, heldout, small_config(), "no_semi").report
         assert len(report.epochs) == 4
         assert all(r.phase == "warmup" for r in report.epochs)
         assert report.corrections == []
 
     def test_no_repar_records_no_corrections(self):
         train, heldout = noisy_scenario()
-        report = run_ablation(train, heldout, small_config(), "no_repar")
+        report = run_with_artifacts(train, heldout, small_config(), "no_repar").report
         assert len(report.epochs) == 7
         assert report.corrections == []
 
     def test_summary_fields_are_consistent(self):
         train, heldout = noisy_scenario()
-        report = run_protosemi(train, heldout, small_config())
+        report = run_with_artifacts(train, heldout, small_config()).report
         accs = [r.heldout_accuracy for r in report.epochs]
         assert report.final_accuracy == accs[-1]
         assert report.best_accuracy == max(accs)
         assert report.best_epoch == int(np.argmax(accs))
 
-    def test_wrappers_agree_with_run_with_artifacts(self):
-        train, heldout = noisy_scenario()
-        cfg = small_config()
-        assert run_protosemi(train, heldout, cfg) == \
-            run_with_artifacts(train, heldout, cfg, "full").report
-        assert run_ablation(train, heldout, cfg, "no_semi") == \
-            run_with_artifacts(train, heldout, cfg, "no_semi").report
-
     def test_unknown_variant_rejected(self):
         train, heldout = noisy_scenario()
         with pytest.raises(ParameterError):
-            run_ablation(train, heldout, small_config(), "none")
+            run_with_artifacts(train, heldout, small_config(), "none")
 
     def test_mismatched_heldout_rejected(self):
         train, _ = noisy_scenario()
         other_dim = generate_blobs(3, 5, 5, 6.0, 1.0, 0)
         other_k = generate_blobs(4, 5, 6, 6.0, 1.0, 0)
         with pytest.raises(ParameterError):
-            run_protosemi(train, other_dim, small_config())
+            run_with_artifacts(train, other_dim, small_config())
         with pytest.raises(ParameterError):
-            run_protosemi(train, other_k, small_config())
+            run_with_artifacts(train, other_k, small_config())
 
     def test_clean_data_leaves_few_unconfident(self):
         clean = generate_blobs(3, 50, 6, 6.0, 1.0, seed=3)
         train, heldout = split_heldout(clean, 0.2, 3)
         cfg = small_config(warmup_epochs=6, main_epochs=2, proto_split_epochs=0)
-        report = run_protosemi(train, heldout, cfg)
+        report = run_with_artifacts(train, heldout, cfg).report
         for r in report.epochs[6:]:
             assert r.unconfident <= 0.02 * train.n
 
@@ -205,7 +195,7 @@ class TestDeterminismAndPurity:
         train, heldout = noisy_scenario()
         labels_before = train.working_labels.copy()
         feats_before = train.features.copy()
-        report = run_protosemi(train, heldout, small_config())
+        report = run_with_artifacts(train, heldout, small_config()).report
         assert sum(c.stats.corrected for c in report.corrections) > 0
         assert np.array_equal(train.working_labels, labels_before)
         assert np.array_equal(train.features, feats_before)
@@ -220,22 +210,22 @@ class TestDeterminismAndPurity:
     def test_report_files_are_byte_identical(self, tmp_path):
         train, heldout = noisy_scenario()
         p1, p2 = tmp_path / "a.report", tmp_path / "b.report"
-        write_report(run_protosemi(train, heldout, small_config()), p1)
-        write_report(run_protosemi(train, heldout, small_config()), p2)
+        write_report(run_with_artifacts(train, heldout, small_config()).report, p1)
+        write_report(run_with_artifacts(train, heldout, small_config()).report, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_no_semi_shares_the_warmup_prefix(self):
         # same seed, same schedule: warm-up epochs must agree bitwise
         train, heldout = noisy_scenario()
-        full = run_protosemi(train, heldout, small_config())
-        ablated = run_ablation(train, heldout, small_config(), "no_semi")
+        full = run_with_artifacts(train, heldout, small_config()).report
+        ablated = run_with_artifacts(train, heldout, small_config(), "no_semi").report
         assert full.epochs[:4] == ablated.epochs
 
     def test_zero_proto_epochs_equals_no_repar(self):
         train, heldout = noisy_scenario()
         cfg = small_config(proto_split_epochs=0)
-        full = run_protosemi(train, heldout, cfg)
-        ablated = run_ablation(train, heldout, cfg, "no_repar")
+        full = run_with_artifacts(train, heldout, cfg).report
+        ablated = run_with_artifacts(train, heldout, cfg, "no_repar").report
         assert full.epochs == ablated.epochs
         assert full.final_accuracy == ablated.final_accuracy
         assert full.corrections == ablated.corrections == []
@@ -289,13 +279,13 @@ class TestDegenerateAbort:
     def test_starved_class_aborts_with_context(self):
         train, heldout, cfg = self.find_fixture()
         with pytest.raises(DegenerateClassError) as excinfo:
-            run_protosemi(train, heldout, cfg)
+            run_with_artifacts(train, heldout, cfg)
         assert str(excinfo.value).startswith("epoch 1:")
         assert excinfo.value.class_index == 0
 
     def test_no_repar_sidesteps_the_abort(self):
         train, heldout, cfg = self.find_fixture()
-        report = run_ablation(train, heldout, cfg, "no_repar")
+        report = run_with_artifacts(train, heldout, cfg, "no_repar").report
         assert len(report.epochs) == 2
 
 

@@ -32,7 +32,6 @@ from protosemi.select import (
     load_correction_log,
     repartition,
     save_correction_log,
-    similarity_to_prototypes,
     split_by_agreement,
 )
 
@@ -201,7 +200,7 @@ class TestSimilarity:
         idx = np.array([0, 10, 20])
         part = Partition(idx, np.array([0, 1, 2]), np.setdiff1d(np.arange(ds.n), idx))
         protos = build_prototypes(net, ds, part)
-        sims = similarity_to_prototypes(net, ds.features[0], protos)
+        sims = cosine_to_rows(net.embed(ds.features[0]), protos.rows)
         assert sims.shape == (3,)
         assert sims[0] == pytest.approx(1.0, abs=1e-9)
         assert np.all(sims >= -1.0) and np.all(sims <= 1.0)
