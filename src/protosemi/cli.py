@@ -43,7 +43,7 @@ from .select import (
 
 # provenance of the matching dataset: checked for well-formedness, never
 # passed to training
-_PROVENANCE_KEYS = ("noise_type", "noise_rate", "noise_seed")
+_PROVENANCE_KEYS = ("eval_split", "noise_type", "noise_rate", "noise_seed")
 
 
 def parse_config_file(path) -> PipelineConfig:
@@ -64,7 +64,7 @@ def parse_config_file(path) -> PipelineConfig:
             if key in values:
                 raise FormatError(f"{path} line {lineno}: duplicate key {key!r}")
             values[key] = value
-    missing = [f.key for f in CONFIG_FIELDS if f.required and f.key not in values]
+    missing = [f.key for f in CONFIG_FIELDS if f.key not in values]
     if missing:
         raise FormatError(f"{path}: missing required key {', '.join(map(repr, missing))}")
 
@@ -75,14 +75,15 @@ def parse_config_file(path) -> PipelineConfig:
             raise FormatError(
                 f"{path}: key {key!r} has unparsable value {values[key]!r}") from None
 
+    if "eval_split" in values and not 0.0 < parse("eval_split", float) < 1.0:
+        raise FormatError(f"{path}: eval_split must lie in (0, 1)")
     if "noise_type" in values and values["noise_type"] not in ("factual", "ambiguity"):
         raise FormatError(f"{path}: noise_type must be factual or ambiguity")
     if "noise_rate" in values and not 0.0 <= parse("noise_rate", float) <= 1.0:
         raise FormatError(f"{path}: noise_rate must lie in [0, 1]")
     if "noise_seed" in values:
         parse("noise_seed", int)
-    return PipelineConfig.from_fields(
-        {f.key: parse(f.key, f.parse) for f in CONFIG_FIELDS if f.key in values})
+    return PipelineConfig.from_fields({f.key: parse(f.key, f.parse) for f in CONFIG_FIELDS})
 
 
 def _cmd_gen_data(args) -> int:

@@ -154,8 +154,9 @@ def inject_factual_noise(ds: NoisyDataset, rate: float, seed: int) -> NoisyDatas
     """Flip exactly round(rate * n) uniformly chosen labels to wrong classes.
 
     The replacement label is uniform over the other classes.  Flip
-    targets are drawn without replacement; relabel draws are consumed in
-    ascending sample-index order.
+    targets are drawn without replacement; the relabel offsets come from
+    one bulk draw, which gives the same values as one draw per flipped
+    sample in ascending sample-index order.
     """
     _require_clean(ds, rate)
     rng = np.random.default_rng(seed)
@@ -163,9 +164,8 @@ def inject_factual_noise(ds: NoisyDataset, rate: float, seed: int) -> NoisyDatas
     num_flips = round_half_away(rate * n)
     chosen = np.sort(rng.choice(n, size=num_flips, replace=False))
     working = ds.true_labels.copy()
-    for i in chosen:
-        offset = int(rng.integers(k - 1))
-        working[i] = offset if offset < working[i] else offset + 1
+    offsets = rng.integers(k - 1, size=chosen.size)
+    working[chosen] = offsets + (offsets >= working[chosen])
     return NoisyDataset(
         features=ds.features.copy(),
         working_labels=working,
@@ -239,11 +239,10 @@ def split_heldout(ds: NoisyDataset, fraction: float, seed: int) -> tuple[NoisyDa
 
 def save_dataset(ds: NoisyDataset, path) -> None:
     """Write the line-oriented text format; see ``load_dataset``."""
-    lines = [f"{DATASET_HEADER} v1 n={ds.n} d={ds.dim} k={ds.num_classes}"]
-    for i in range(ds.n):
-        feats = " ".join(FLOAT_FMT % v for v in ds.features[i])
-        lines.append(f"{feats} {ds.working_labels[i]} {ds.true_labels[i]}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    # %.17g prints the integer-valued label columns as bare integers
+    np.savetxt(path, np.column_stack([ds.features, ds.working_labels, ds.true_labels]),
+               fmt=FLOAT_FMT, comments="",
+               header=f"{DATASET_HEADER} v1 n={ds.n} d={ds.dim} k={ds.num_classes}")
 
 
 def _header_field(token: str, key: str) -> int:

@@ -102,15 +102,18 @@ def guess_labels(net: Network, u: np.ndarray, k_aug: int, temperature: float,
 
     Averages the softmax outputs of k_aug jittered copies of u, then
     sharpens the average.  Accepts a single (D,) vector or a (B, D)
-    batch; the rng is consumed one jitter draw per copy, in order.
+    batch.  All copies are jittered by one bulk draw, which gives the
+    same values as one draw per copy in order, and share one forward pass.
     """
     if int(k_aug) != k_aug or k_aug < 1:
         raise ParameterError(f"k_aug must be an integer >= 1, got {k_aug}")
-    acc = None
-    for _ in range(int(k_aug)):
-        probs = softmax(net.forward(augment(u, sigma, rng)))
-        acc = probs if acc is None else acc + probs
-    return sharpen(acc / k_aug, temperature)
+    u = np.asarray(u, dtype=np.float64)
+    k = int(k_aug)
+    copies = augment(np.broadcast_to(u, (k, *u.shape)), sigma, rng)
+    # stacked as (k, B, D), each copy gets the matrix products it would get
+    # alone; flattened (k*B, D) rows round differently when B is 1
+    probs = softmax(net.forward(copies.reshape(k, -1, u.shape[-1])))
+    return sharpen(probs.mean(axis=0).reshape(*u.shape[:-1], -1), temperature)
 
 
 def mixup(x1: np.ndarray, p1: np.ndarray, x2: np.ndarray, p2: np.ndarray,

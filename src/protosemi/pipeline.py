@@ -54,7 +54,6 @@ class ConfigField(NamedTuple):
     key: str
     parse: Callable[[str], object]
     part: str | None = None  # None: PipelineConfig itself; else thresholds, train or semi
-    required: bool = True
 
     def text(self, value) -> str:
         """Config-file text of a value; floats round-trip through repr."""
@@ -80,7 +79,6 @@ CONFIG_FIELDS = (
     ConfigField("mix_alpha", float, "semi"),
     ConfigField("lambda_u", float, "semi"),
     ConfigField("aug_sigma", float, "semi"),
-    ConfigField("eval_split", float, required=False),
     ConfigField("seed", int),
 )
 
@@ -102,7 +100,6 @@ class PipelineConfig:
     thresholds: Thresholds
     train: TrainConfig
     semi: SemiConfig
-    eval_split: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
@@ -121,8 +118,6 @@ class PipelineConfig:
             )
         if not isinstance(self.thresholds, Thresholds):
             raise ParameterError("thresholds must be a Thresholds instance")
-        if not 0.0 < self.eval_split < 1.0:
-            raise ParameterError(f"eval_split must be in (0, 1), got {self.eval_split}")
         object.__setattr__(self, "train", dataclasses.replace(
             self.train,
             total_epochs=self.warmup_epochs + self.main_epochs,
@@ -135,11 +130,10 @@ class PipelineConfig:
 
     @classmethod
     def from_fields(cls, values: dict) -> "PipelineConfig":
-        """Build from parsed values keyed as in CONFIG_FIELDS; optional ones may be absent."""
+        """Build from parsed values keyed as in CONFIG_FIELDS."""
         parts = {None: {}, "thresholds": {}, "train": {}, "semi": {}}
         for f in CONFIG_FIELDS:
-            if f.key in values:
-                parts[f.part][f.key] = values[f.key]
+            parts[f.part][f.key] = values[f.key]
         top = parts[None]
         return cls(
             thresholds=Thresholds(**parts["thresholds"]),

@@ -170,9 +170,9 @@ def cosine_to_rows(vec: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.clip((rows @ vec) / (row_norms * vec_norm), -1.0, 1.0)
 
 
-def correction_probability(d_max: float, thresholds: Thresholds) -> float:
-    """Linear ramp over the ring: 0 at beta, 1 at alpha."""
-    if not thresholds.beta <= d_max <= thresholds.alpha:
+def correction_probability(d_max: float | np.ndarray, thresholds: Thresholds):
+    """Linear ramp over the ring: 0 at beta, 1 at alpha; scalar or array."""
+    if not np.all((thresholds.beta <= d_max) & (d_max <= thresholds.alpha)):
         raise ParameterError(
             f"d_max={d_max} outside the ring [{thresholds.beta}, {thresholds.alpha}]"
         )
@@ -184,58 +184,47 @@ def repartition(net: Network, ds: NoisyDataset, partition: Partition,
                 ) -> tuple[Partition, list[CorrectionRecord]]:
     """Resolve every unconfident sample against the class prototypes.
 
-    Prototypes are built once from the incoming partition.  Unconfident
-    samples are visited in ascending index order and the rng is consumed
-    one uniform draw per ring-zone sample whose prototype class differs
-    from its current label, so decisions are reproducible from the seed.
-    Corrected labels are written back into ``ds.working_labels``; the
+    Prototypes are built once from the incoming partition.  One bulk
+    uniform draw covers the ring-zone samples whose prototype class
+    differs from their current label, in ascending index order; it gives
+    the same values as one draw per such sample, so decisions are
+    reproducible from the seed.  Corrected labels are written back into
+    ``ds.working_labels`` only after every sample has been scored; the
     returned log records one entry per unconfident sample.
     """
     prototypes = build_prototypes(net, ds, partition)
-    log: list[CorrectionRecord] = []
-    moved_idx: list[int] = []
-    moved_labels: list[int] = []
-    stay: list[int] = []
-
     unconf = partition.unconfident_idx
     embeddings = net.embed(ds.features[unconf]) if unconf.size else np.empty((0, net.embed_dim))
-    for pos, i in enumerate(unconf):
-        sims = cosine_to_rows(embeddings[pos], prototypes.rows)
-        proto_label = int(np.argmax(sims))  # ties -> lowest class index
-        d_max = float(sims[proto_label])
-        prior = int(ds.working_labels[i])
+    sims = np.array([cosine_to_rows(e, prototypes.rows) for e in embeddings])
+    sims = sims.reshape(unconf.size, prototypes.rows.shape[0])
 
-        if d_max >= thresholds.alpha:
-            zone, p = "small", 1.0
-            action = "retained" if proto_label == prior else "corrected"
-        elif d_max >= thresholds.beta:
-            zone = "ring"
-            p = correction_probability(d_max, thresholds)
-            if proto_label == prior:
-                action = "retained"
-            else:
-                action = "corrected" if rng.random() < p else "retained"
-        else:
-            zone, p, action = "outside", 0.0, "unmoved"
+    proto = np.argmax(sims, axis=1)  # ties -> lowest class index
+    d_max = sims[np.arange(unconf.size), proto]
+    prior = ds.working_labels[unconf]
+    small = d_max >= thresholds.alpha
+    ring = ~small & (d_max >= thresholds.beta)
+    p = np.where(small, 1.0, 0.0)
+    p[ring] = correction_probability(d_max[ring], thresholds)
 
-        if action == "corrected":
-            ds.working_labels[i] = proto_label
-            moved_idx.append(int(i))
-            moved_labels.append(proto_label)
-        elif action == "retained":
-            moved_idx.append(int(i))
-            moved_labels.append(prior)
-        else:
-            stay.append(int(i))
-        log.append(CorrectionRecord(int(i), d_max, proto_label, prior, zone, action, p))
+    differs = proto != prior
+    corrected = small & differs
+    drawn = ring & differs
+    corrected[drawn] = rng.random(np.count_nonzero(drawn)) < p[drawn]
+    moved = small | ring
+    ds.working_labels[unconf[corrected]] = proto[corrected]
 
-    new_idx = np.concatenate([partition.confident_idx, np.array(moved_idx, dtype=np.int64)])
-    new_labels = np.concatenate([partition.confident_labels, np.array(moved_labels, dtype=np.int64)])
+    zone = np.select([small, ring], ["small", "ring"], "outside")
+    action = np.select([corrected, moved], ["corrected", "retained"], "unmoved")
+    # .tolist() gives Python scalars, whose repr the log CSV relies on
+    log = [CorrectionRecord(*fields) for fields in zip(
+        unconf.tolist(), d_max.tolist(), proto.tolist(), prior.tolist(),
+        zone.tolist(), action.tolist(), p.tolist())]
+
+    new_idx = np.concatenate([partition.confident_idx, unconf[moved]])
+    new_labels = np.concatenate([partition.confident_labels,
+                                 ds.working_labels[unconf[moved]]])
     order = np.argsort(new_idx)
-    return (
-        Partition(new_idx[order], new_labels[order], np.array(sorted(stay), dtype=np.int64)),
-        log,
-    )
+    return Partition(new_idx[order], new_labels[order], unconf[~moved]), log
 
 
 def correction_stats(log: list[CorrectionRecord], ds: NoisyDataset) -> StatsRow:

@@ -260,7 +260,6 @@ class TestConfigFile:
         assert cfg.thresholds.alpha == 0.9 and cfg.thresholds.beta == 0.2
         assert cfg.train.total_epochs == 7 and cfg.train.seed == 7
         assert cfg.semi.k_aug == 2 and cfg.semi.lambda_u == 1.0
-        assert cfg.eval_split == 0.2
 
     def test_comments_blanks_and_spacing_are_tolerated(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -272,7 +271,9 @@ class TestConfigFile:
         cfg = parse_config_file(write_config(
             tmp_path / "run.cfg", eval_split="0.25", noise_type="factual",
             noise_rate="0.3", noise_seed="11"))
-        assert cfg.eval_split == 0.25
+        # provenance never reaches the run config or the report header
+        assert cfg == parse_config_file(write_config(tmp_path / "plain.cfg"))
+        assert "eval_split" not in cfg.echo()
 
     @pytest.mark.parametrize("overrides", [
         dict(extra_key="1"),
@@ -281,6 +282,8 @@ class TestConfigFile:
         dict(noise_type="adversarial"),
         dict(noise_rate="1.5"),
         dict(hidden_dims="16,,8"),
+        dict(eval_split="0.0"),          # provenance keys are range-checked
+        dict(eval_split="1.0"),
     ])
     def test_malformed_configs(self, tmp_path, overrides):
         path = write_config(tmp_path / "run.cfg", **overrides)

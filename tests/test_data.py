@@ -117,6 +117,19 @@ class TestFactualNoise:
         ds = generate_blobs(3, 30, 4, 5.0, 1.0, seed=5)
         assert inject_factual_noise(ds, 0.3, seed=11) == inject_factual_noise(ds, 0.3, seed=11)
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 10])
+    def test_matches_sequential_replay_oracle(self, k):
+        ds = generate_blobs(k, 12, 3, 5.0, 1.0, seed=k)
+        noisy = inject_factual_noise(ds, 0.4, seed=21)
+        # one scalar draw per flipped sample, in ascending index order
+        rng = np.random.default_rng(21)
+        chosen = np.sort(rng.choice(ds.n, size=round_half_away(0.4 * ds.n), replace=False))
+        expected = ds.true_labels.copy()
+        for i in chosen:
+            offset = int(rng.integers(k - 1))
+            expected[i] = offset if offset < expected[i] else offset + 1
+        assert np.array_equal(noisy.working_labels, expected)
+
     @given(rate=st.floats(min_value=0.0, max_value=1.0), seed=st.integers(0, 1000))
     @settings(max_examples=40, deadline=None)
     def test_flip_count_always_exact(self, rate, seed):
@@ -230,6 +243,17 @@ class TestSerialization:
         back = load_dataset(path)
         assert np.array_equal(back.features, ds.features)  # bit-exact floats
         assert back == ds
+
+    def test_golden_text(self, tmp_path):
+        feats = np.array([[-0.0, 1e-300], [0.1, -2.5], [123456789.0, 1.0 / 3.0]])
+        ds = NoisyDataset(feats, np.array([2, 0, 1]), np.array([0, 1, 2]), 3)
+        save_dataset(ds, tmp_path / "ds.txt")
+        assert (tmp_path / "ds.txt").read_text(encoding="ascii") == (
+            "protosemi-dataset v1 n=3 d=2 k=3\n"
+            "-0 1e-300 2 0\n"
+            "0.10000000000000001 -2.5 0 1\n"
+            "123456789 0.33333333333333331 1 2\n"
+        )
 
     def test_save_is_byte_deterministic(self, tmp_path):
         ds = generate_blobs(3, 9, 4, 5.0, 1.0, seed=2)

@@ -79,8 +79,6 @@ class TestPipelineConfig:
         dict(proto_split_epochs=-1),
         dict(proto_split_epochs=4),  # exceeds main_epochs=3
         dict(thresholds=(0.9, 0.2)),
-        dict(eval_split=0.0),
-        dict(eval_split=1.0),
     ])
     def test_invalid(self, bad):
         with pytest.raises(ParameterError):
@@ -91,7 +89,7 @@ class TestPipelineConfig:
         assert echo["hidden_dims"] == "16,8"
         assert echo["seed"] == "7"
         assert echo["alpha"] == "0.9"
-        assert len(echo) == 16
+        assert len(echo) == 15
         assert all(isinstance(v, str) for v in echo.values())
 
 

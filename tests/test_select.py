@@ -370,6 +370,21 @@ class TestRepartition:
         for i in moved:
             assert lookup[i] == ds.working_labels[i]
 
+    def test_zero_embedding_aborts_before_any_write_back(self):
+        # the zero feature row embeds to zero (biases start at zero), so its
+        # cosine is undefined; row 0, scored before it, would be corrected
+        net = init_network([3, 5, 2], seed=1)
+        feats = np.random.default_rng(0).standard_normal((12, 3))
+        feats[11] = 0.0
+        labels = np.argmax(net.forward(feats), axis=1)
+        labels[[0, 11]] = 1 - labels[[0, 11]]
+        ds = NoisyDataset(feats, labels.copy(), labels.copy(), 2)
+        part = split_by_agreement(net, ds)
+        assert part.unconfident_idx.tolist() == [0, 11]
+        with pytest.raises(DegenerateGeometryError):
+            repartition(net, ds, part, Thresholds(-0.5, -0.9), np.random.default_rng(0))
+        assert np.array_equal(ds.working_labels, labels)
+
     def test_determinism(self):
         net, ds = small_noisy_setup(seed=43)
         part = split_by_agreement(net, ds)
