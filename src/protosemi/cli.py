@@ -8,6 +8,7 @@ its confident samples, or geometry degenerated).
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 
 from .data import (
@@ -15,6 +16,7 @@ from .data import (
     inject_ambiguity_noise,
     inject_factual_noise,
     load_dataset,
+    read_ascii,
     save_dataset,
     split_heldout,
 )
@@ -50,7 +52,8 @@ def parse_config_file(path) -> PipelineConfig:
     """Read a key=value run config; unknown or missing keys are errors."""
     known = {f.key for f in CONFIG_FIELDS}.union(_PROVENANCE_KEYS)
     values: dict[str, str] = {}
-    with open(path, encoding="ascii") as fh:
+    # newline=None splits lines as a file opened in text mode does
+    with io.StringIO(read_ascii(path), newline=None) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -11,6 +11,7 @@ ambiguity noise (flips concentrated on samples near class boundaries).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,8 +41,10 @@ class NoisyDataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.working_labels = np.asarray(self.working_labels, dtype=np.int64)
-        self.true_labels = np.asarray(self.true_labels, dtype=np.int64)
+        # copies: a correction writes working labels in place, and must
+        # reach neither the true labels nor the caller's array
+        self.working_labels = np.array(self.working_labels, dtype=np.int64)
+        self.true_labels = np.array(self.true_labels, dtype=np.int64)
         if self.features.ndim != 2 or self.features.shape[0] < 1 or self.features.shape[1] < 1:
             raise ParameterError("features must be a nonempty (n, dim) array")
         if not np.all(np.isfinite(self.features)):
@@ -72,12 +75,8 @@ class NoisyDataset:
         return float(np.mean(self.working_labels != self.true_labels))
 
     def copy(self) -> "NoisyDataset":
-        return NoisyDataset(
-            self.features.copy(),
-            self.working_labels.copy(),
-            self.true_labels.copy(),
-            self.num_classes,
-        )
+        return NoisyDataset(self.features.copy(), self.working_labels,
+                            self.true_labels, self.num_classes)
 
     def __eq__(self, other):
         if not isinstance(other, NoisyDataset):
@@ -137,7 +136,7 @@ def generate_blobs(num_classes: int, per_class: int, dim: int,
     true = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
     return NoisyDataset(
         features=np.vstack(blocks),
-        working_labels=true.copy(),
+        working_labels=true,
         true_labels=true,
         num_classes=num_classes,
     )
@@ -169,7 +168,7 @@ def inject_factual_noise(ds: NoisyDataset, rate: float, seed: int) -> NoisyDatas
     return NoisyDataset(
         features=ds.features.copy(),
         working_labels=working,
-        true_labels=ds.true_labels.copy(),
+        true_labels=ds.true_labels,
         num_classes=k,
     )
 
@@ -204,7 +203,7 @@ def inject_ambiguity_noise(ds: NoisyDataset, rate: float, seed: int) -> NoisyDat
     return NoisyDataset(
         features=ds.features.copy(),
         working_labels=working,
-        true_labels=ds.true_labels.copy(),
+        true_labels=ds.true_labels,
         num_classes=k,
     )
 
@@ -228,9 +227,9 @@ def split_heldout(ds: NoisyDataset, fraction: float, seed: int) -> tuple[NoisyDa
 
     def _subset(mask: np.ndarray) -> NoisyDataset:
         return NoisyDataset(
-            features=ds.features[mask].copy(),
-            working_labels=ds.working_labels[mask].copy(),
-            true_labels=ds.true_labels[mask].copy(),
+            features=ds.features[mask],
+            working_labels=ds.working_labels[mask],
+            true_labels=ds.true_labels[mask],
             num_classes=ds.num_classes,
         )
 
@@ -255,15 +254,28 @@ def _header_field(token: str, key: str) -> int:
         raise FormatError(f"header field {token!r} is not an integer") from None
 
 
+def read_ascii(path) -> str:
+    """The text of an ASCII file; any other byte is a FormatError naming its line."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # the bad byte ends the last line of this prefix
+        line = len(raw[:exc.start + 1].splitlines())
+        raise FormatError(
+            f"{path} line {line}: non-ASCII byte 0x{raw[exc.start]:02x}") from None
+
+
 def load_dataset(path) -> NoisyDataset:
     """Read a dataset file.
 
     Format: header ``protosemi-dataset v1 n=<n> d=<D> k=<K>`` followed by
     n records of D floats, the working label, and the true label, all
-    space separated.  Raises :class:`FormatError` naming the offending
-    line on any malformed content.
+    whitespace separated.  Raises :class:`FormatError` naming the
+    offending line on any malformed content: the records are parsed in
+    one array pass, and line by line only when that pass fails.
     """
-    lines = Path(path).read_text(encoding="ascii").splitlines()
+    lines = read_ascii(path).splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
@@ -279,10 +291,48 @@ def load_dataset(path) -> NoisyDataset:
     if len(lines) - 1 != n:
         raise FormatError(f"expected {n} records, found {len(lines) - 1}")
 
+    arrays = _parse_records_at_once(lines[1:], d, k)
+    if arrays is None:
+        arrays = _parse_records_by_line(lines[1:], d, k)
+    try:
+        return NoisyDataset(*arrays, num_classes=k)
+    except ParameterError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
+def _parse_records_at_once(records: list[str], d: int, k: int):
+    """(features, working, true) from one ``np.loadtxt`` pass, or None.
+
+    None when the records hold anything the line parser might read
+    differently or reject: a token loadtxt refuses, a blank line (which
+    loadtxt skips), a non-finite feature or a label out of range.  Both
+    parse floats with ``PyOS_string_to_double`` and split on the same
+    whitespace, so when this accepts, the line parser gives equal arrays.
+    """
+    dtype = np.dtype([("features", np.float64, (d,)),
+                      ("working", np.int64), ("true", np.int64)])
+    try:
+        with warnings.catch_warnings():
+            # numpy before 2.0 reads a label such as "3.0" with a DeprecationWarning
+            warnings.simplefilter("error")
+            rows = np.loadtxt(records, dtype=dtype, comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    if rows.shape != (len(records),) or not np.isfinite(rows["features"]).all():
+        return None
+    working, true = rows["working"], rows["true"]
+    if min(working.min(), true.min()) < 0 or max(working.max(), true.max()) >= k:
+        return None
+    return rows["features"].copy(), working, true
+
+
+def _parse_records_by_line(records: list[str], d: int, k: int):
+    """(features, working, true), one token at a time; the FormatError names the line."""
+    n = len(records)
     features = np.empty((n, d), dtype=np.float64)
     working = np.empty(n, dtype=np.int64)
     true = np.empty(n, dtype=np.int64)
-    for i, line in enumerate(lines[1:]):
+    for i, line in enumerate(records):
         lineno = i + 2
         parts = line.split()
         if len(parts) != d + 2:
@@ -304,7 +354,4 @@ def load_dataset(path) -> NoisyDataset:
         features[i] = row
         working[i] = w
         true[i] = t
-    try:
-        return NoisyDataset(features, working, true, num_classes=k)
-    except ParameterError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    return features, working, true

@@ -89,7 +89,10 @@ def sharpen(p: np.ndarray, temperature: float) -> np.ndarray:
     """
     if not temperature > 0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
-    p = _check_simplex(p)
+    return _sharpen(_check_simplex(p), temperature)
+
+
+def _sharpen(p: np.ndarray, temperature: float) -> np.ndarray:
     if temperature == 1.0:
         return p.copy()
     powered = p ** (1.0 / temperature)
@@ -107,13 +110,16 @@ def guess_labels(net: Network, u: np.ndarray, k_aug: int, temperature: float,
     """
     if int(k_aug) != k_aug or k_aug < 1:
         raise ParameterError(f"k_aug must be an integer >= 1, got {k_aug}")
+    if not temperature > 0:
+        raise ParameterError(f"temperature must be positive, got {temperature}")
     u = np.asarray(u, dtype=np.float64)
     k = int(k_aug)
     copies = augment(np.broadcast_to(u, (k, *u.shape)), sigma, rng)
     # stacked as (k, B, D), each copy gets the matrix products it would get
     # alone; flattened (k*B, D) rows round differently when B is 1
     probs = softmax(net.forward(copies.reshape(k, -1, u.shape[-1])))
-    return sharpen(probs.mean(axis=0).reshape(*u.shape[:-1], -1), temperature)
+    # a mean of softmax rows is a distribution: no simplex check needed
+    return _sharpen(probs.mean(axis=0).reshape(*u.shape[:-1], -1), temperature)
 
 
 def mixup(x1: np.ndarray, p1: np.ndarray, x2: np.ndarray, p2: np.ndarray,

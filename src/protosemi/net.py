@@ -173,10 +173,11 @@ def cross_entropy_grads(net: Network, batch: np.ndarray, targets: np.ndarray):
     """
     acts, logits = net.activations(batch)
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    loss = float(np.mean(log_norm - np.sum(targets * shifted, axis=1)))
-    probs = softmax(logits)
-    logit_grad = (probs - targets) / batch.shape[0]
+    exp = np.exp(shifted)
+    norm = exp.sum(axis=1)
+    loss = float(np.mean(np.log(norm) - np.sum(targets * shifted, axis=1)))
+    # softmax(logits), from the same exponentials
+    logit_grad = (exp / norm[:, None] - targets) / batch.shape[0]
     grads_w, grads_b = net.backprop(acts, logit_grad)
     return loss, grads_w, grads_b
 

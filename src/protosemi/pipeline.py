@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import NoisyDataset
+from .data import NoisyDataset, read_ascii
 from .errors import DegenerateClassError, FormatError, ParameterError
 from .mixmatch import SemiConfig, semi_train_epoch
 from .net import Network, TrainConfig, init_network, train_epoch
@@ -345,9 +345,7 @@ def write_report(report: RunReport, path) -> None:
 
 def parse_report(path) -> RunReport:
     """Read back a report written by :func:`write_report`."""
-    with open(path, encoding="ascii") as fh:
-        text = fh.read()
-    lines = text.splitlines()
+    lines = read_ascii(path).splitlines()
     if not lines or lines[0] != f"{REPORT_HEADER} v1":
         raise FormatError(f"{path}: not a {REPORT_HEADER} v1 file")
 

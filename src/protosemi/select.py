@@ -21,11 +21,12 @@ labels are written back to the dataset so later epochs see them.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NoisyDataset
+from .data import NoisyDataset, read_ascii
 from .errors import (
     DegenerateClassError,
     DegenerateGeometryError,
@@ -260,7 +261,7 @@ def save_correction_log(log: list[CorrectionRecord], ds: NoisyDataset, path) -> 
 def load_correction_log(path) -> list[CorrectionRecord]:
     """Read a CSV written by :func:`save_correction_log`."""
     records: list[CorrectionRecord] = []
-    with open(path, newline="", encoding="ascii") as fh:
+    with io.StringIO(read_ascii(path), newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != list(LOG_COLUMNS):

@@ -202,6 +202,17 @@ class TestTrain:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_ascii_dataset_exits_two(self, dataset_files, tmp_path, capsys):
+        train, heldout = dataset_files
+        lines = train.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b" ", b"\xc2\xa0", 1)  # a no-break space
+        train.write_bytes(b"\n".join(lines))
+        code = main(["train", "--config", str(write_config(tmp_path / "run.cfg")),
+                     "--data", str(train), "--heldout", str(heldout),
+                     "--report", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {train} line 3: non-ASCII byte 0xc2\n"
+
     def test_starved_class_exits_three(self, tmp_path, capsys):
         # base_lr=0 freezes the net at init, so agreement is predictable
         # and one class can be arranged to never agree
@@ -315,6 +326,15 @@ class TestConfigFile:
         with pytest.raises(FormatError):
             parse_config_file(path)
 
+    def test_non_ascii_config_exits_two(self, dataset_files, tmp_path, capsys):
+        train, heldout = dataset_files
+        config = write_config(tmp_path / "run.cfg")
+        config.write_bytes(b"# caf\xc3\xa9 recipe\n" + config.read_bytes())
+        code = main(["train", "--config", str(config), "--data", str(train),
+                     "--heldout", str(heldout), "--report", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {config} line 1: non-ASCII byte 0xc3\n"
+
     def test_unknown_key_exits_two(self, dataset_files, tmp_path, capsys):
         train, heldout = dataset_files
         config = write_config(tmp_path / "run.cfg", mystery="1")
@@ -384,3 +404,14 @@ class TestStats:
         save_dataset(ds, data_path)
         code = main(["stats", "--log", str(log_path), "--data", str(data_path)])
         assert code == 2
+
+    def test_non_ascii_log_exits_two(self, tmp_path, capsys):
+        ds = three_class_dataset()
+        log = synthetic_small_circle_log(ds, corrected=3, right=2)
+        log_path, data_path = tmp_path / "log.csv", tmp_path / "d.ds"
+        save_correction_log(log, ds, log_path)
+        save_dataset(ds, data_path)
+        log_path.write_bytes(log_path.read_bytes().replace(b"small", b"sm\xe4ll", 2))
+        code = main(["stats", "--log", str(log_path), "--data", str(data_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {log_path} line 2: non-ASCII byte 0xe4\n"

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from protosemi.data import (
     NoisyDataset,
+    _parse_records_at_once,
+    _parse_records_by_line,
     generate_blobs,
     inject_ambiguity_noise,
     inject_factual_noise,
@@ -228,6 +230,13 @@ class TestDatasetValidation:
         with pytest.raises(ParameterError):
             NoisyDataset(np.zeros((2, 2)), np.array([0, 2]), np.array([0, 1]), num_classes=2)
 
+    def test_label_arrays_are_not_shared(self):
+        y = np.array([0, 1, 1, 0])
+        ds = NoisyDataset(np.zeros((4, 2)), y, y, num_classes=2)
+        ds.working_labels[0] = 1  # what a label correction does
+        assert ds.true_labels.tolist() == [0, 1, 1, 0]
+        assert y.tolist() == [0, 1, 1, 0]
+
 
 class TestSerialization:
     def test_round_trip_clean(self, tmp_path):
@@ -294,3 +303,146 @@ class TestSerialization:
         )
         with pytest.raises(FormatError):
             load_dataset(path)
+
+
+# Loader table: record texts for a d=2, k=3 file with n=3 records.  The
+# second record sits on line 3.  Rejected files raise this exact text;
+# accepted ones must equal a per-token float()/int() reading.
+_HEADER = "protosemi-dataset v1 n=3 d=2 k=3"
+_GOOD = ["0.5 -1.25 0 0", "1.5 2.0 1 1", "-0.75 3.0 2 2"]
+
+
+def _with_line3(text):
+    return [_GOOD[0], text, _GOOD[2]]
+
+
+_REJECTED = [
+    ("short_line", _with_line3("1.5 2.0 1"), "line 3: expected 4 fields, got 3"),
+    ("long_line", _with_line3("1.5 2.0 1 1 1"), "line 3: expected 4 fields, got 5"),
+    ("oops", _with_line3("oops 2.0 1 1"), "line 3: unparsable feature value"),
+    ("nan", _with_line3("1.5 nan 1 1"), "line 3: non-finite feature value"),
+    ("inf", _with_line3("inf 2.0 1 1"), "line 3: non-finite feature value"),
+    ("1e999", _with_line3("1.5 1e999 1 1"), "line 3: non-finite feature value"),
+    ("label_3.0", _with_line3("1.5 2.0 3.0 1"), "line 3: unparsable label"),
+    ("label_3e0", _with_line3("1.5 2.0 1 3e0"), "line 3: unparsable label"),
+    ("label_-1", _with_line3("1.5 2.0 -1 1"), "line 3: working label -1 out of range for k=3"),
+    ("label_k", _with_line3("1.5 2.0 k 1"), "line 3: unparsable label"),
+    ("true_label_3", _with_line3("1.5 2.0 1 3"), "line 3: true label 3 out of range for k=3"),
+    ("label_overflow", _with_line3("1.5 2.0 99999999999999999999 1"),
+     "line 3: working label 99999999999999999999 out of range for k=3"),
+    ("blank_record", _with_line3(""), "line 3: expected 4 fields, got 0"),
+    ("spaces_record", _with_line3("   "), "line 3: expected 4 fields, got 0"),
+    ("blank_inserted", [_GOOD[0], "", _GOOD[1], _GOOD[2]], "expected 3 records, found 4"),
+    ("comment_tail", _with_line3("1.5 2.0 1 1 # note"), "line 3: expected 4 fields, got 6"),
+    ("comment_glued", _with_line3("1.5 2.0 1 1#note"), "line 3: unparsable label"),
+    ("comment_line", _with_line3("#1.5 2.0 1 1"), "line 3: unparsable feature value"),
+    ("vertical_tab", _with_line3("1.5 2.0\x0b1 1"), "expected 3 records, found 4"),
+    ("lone_cr", _with_line3("1.5 2.0\r1 1"), "expected 3 records, found 4"),
+    ("errors_in_line_order", [_GOOD[0], "1.5 2.0 1 9", "nan 3.0 2 2"],
+     "line 3: true label 9 out of range for k=3"),
+]
+
+_ACCEPTED = [
+    ("plain", _GOOD),
+    ("tabs", _with_line3("1.5\t2.0\t1\t1")),
+    ("unit_separator", _with_line3("1.5\x1f2.0 1 1")),
+    ("padded", _with_line3("  1.5   2.0 1 1  ")),
+    ("label_+1", _with_line3("1.5 2.0 +1 1")),
+    ("label_01", _with_line3("1.5 2.0 01 1")),
+    ("label_-0", _with_line3("1.5 2.0 -0 1")),
+    ("underscore_feature", _with_line3("1_0 2.0 1 1")),
+    ("signed_and_short_floats", _with_line3("+1.5 -.5 1 1")),
+    ("negative_zero", _with_line3("-0 -0.0 1 1")),
+    ("subnormal", _with_line3("5e-324 1e-310 1 1")),
+]
+
+
+# tokens for generated records: valid and invalid floats and labels
+_TOKENS = ["0", "1", "2", "-0", "+1", "01", "1.5", "-.5", "5e-324", "1e999", "nan",
+           "-inf", "3.0", "3e0", "1_0", "#", "x", "0x1", "99999999999999999999", "-1"]
+_SEPARATORS = [" ", "  ", "\t", "\x1f"]
+# most draws are records of four tokens both parsers accept, so that
+# generated records often get past the array pass
+_GOOD_TOKEN = st.sampled_from(["0", "1", "2", "-0", "+1", "01", "1.5", "5e-324"])
+_TOKEN = st.one_of(_GOOD_TOKEN, _GOOD_TOKEN, _GOOD_TOKEN, st.sampled_from(_TOKENS))
+_RECORD_TOKENS = st.one_of(st.lists(_TOKEN, min_size=4, max_size=4),
+                           st.lists(_TOKEN, min_size=4, max_size=4),
+                           st.lists(_TOKEN, min_size=0, max_size=5))
+
+
+def _reference_parse(records, d):
+    """One float() per feature token and one int() per label token."""
+    rows = [line.split() for line in records]
+    features = np.array([[float(t) for t in r[:d]] for r in rows], dtype=np.float64)
+    working = np.array([int(r[d]) for r in rows], dtype=np.int64)
+    true = np.array([int(r[d + 1]) for r in rows], dtype=np.int64)
+    return features, working, true
+
+
+class TestLoaderTable:
+    @pytest.mark.parametrize("records,message", [c[1:] for c in _REJECTED],
+                             ids=[c[0] for c in _REJECTED])
+    def test_rejected_record_text(self, tmp_path, records, message):
+        path = tmp_path / "bad.ds"
+        path.write_bytes(("\n".join([_HEADER, *records]) + "\n").encode("ascii"))
+        with pytest.raises(FormatError) as info:
+            load_dataset(path)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("records", [c[1] for c in _ACCEPTED],
+                             ids=[c[0] for c in _ACCEPTED])
+    def test_accepted_record_text(self, tmp_path, records, ending):
+        path = tmp_path / "ok.ds"
+        path.write_bytes((ending.join([_HEADER, *records]) + ending + ending).encode("ascii"))
+        ds = load_dataset(path)
+        features, working, true = _reference_parse(records, 2)
+        assert ds.features.dtype == np.float64 and ds.features.shape == (3, 2)
+        assert ds.working_labels.dtype == np.int64 and ds.true_labels.dtype == np.int64
+        assert ds.features.tobytes() == features.tobytes()  # keeps the sign of -0
+        assert np.array_equal(ds.working_labels, working)
+        assert np.array_equal(ds.true_labels, true)
+        assert ds.num_classes == 3
+
+    def test_dataset_check_names_the_file(self, tmp_path):
+        path = tmp_path / "two.ds"
+        path.write_text(_HEADER + "\n" + "\n".join(_with_line3("1.5 2.0 1 0")) + "\n")
+        with pytest.raises(FormatError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}: class 1 has no samples among the true labels"
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_one_record(self, tmp_path, d):
+        feats = np.arange(2 * d, dtype=np.float64).reshape(2, d) / 3.0
+        ds = NoisyDataset(feats, np.array([1, 0]), np.array([0, 1]), 2)
+        save_dataset(ds, tmp_path / "two.ds")
+        assert load_dataset(tmp_path / "two.ds") == ds
+        path = tmp_path / "one.ds"
+        path.write_text(f"protosemi-dataset v1 n=1 d={d} k=2\n"
+                        + " ".join(["0.25"] * d) + " 1 0\n")
+        with pytest.raises(FormatError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}: class 1 has no samples among the true labels"
+
+    def test_saved_files_take_the_array_pass(self, tmp_path):
+        ds = inject_factual_noise(generate_blobs(4, 30, 5, 5.0, 1.0, seed=8), 0.3, seed=8)
+        save_dataset(ds, tmp_path / "ds.txt")
+        records = (tmp_path / "ds.txt").read_text().splitlines()[1:]
+        at_once = _parse_records_at_once(records, ds.dim, ds.num_classes)
+        assert at_once is not None
+        for got, want in zip(at_once, _parse_records_by_line(records, ds.dim, ds.num_classes)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @given(st.lists(
+        st.tuples(_RECORD_TOKENS,
+                  st.sampled_from(_SEPARATORS), st.sampled_from(["", " ", "\t"])),
+        min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_array_pass_accepts_only_what_the_line_parser_reads_alike(self, lines):
+        records = [pad + sep.join(tokens) + pad for tokens, sep, pad in lines]
+        at_once = _parse_records_at_once(records, 2, 3)
+        if at_once is None:
+            return
+        by_line = _parse_records_by_line(records, 2, 3)  # must not raise
+        for got, want in zip(at_once, by_line):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -373,6 +373,12 @@ class TestReportIO:
         with pytest.raises(FormatError):
             parse_report(path)
 
+    def test_rejects_non_ascii_byte(self, tmp_path):
+        _, _, path = self.roundtrip(tmp_path)
+        path.write_bytes(path.read_bytes().replace(b"variant=", b"vari\xe4nt=", 1))
+        with pytest.raises(FormatError, match=r"line 2: non-ASCII byte 0xe4"):
+            parse_report(path)
+
     def test_rejects_missing_key(self, tmp_path):
         _, _, path = self.roundtrip(tmp_path)
         lines = path.read_text().splitlines()
