@@ -29,7 +29,6 @@ from .mixmatch import (
     brier_grads,
     guess_labels,
     lambda_ramp,
-    mix_rng,
     mixup,
     semi_train_epoch,
     sharpen,
@@ -39,7 +38,6 @@ from .net import (
     TrainConfig,
     cosine_lr,
     cross_entropy_grads,
-    epoch_shuffle_rng,
     init_network,
     one_hot,
     softmax,
@@ -84,10 +82,10 @@ __all__ = [
     "SemiConfig", "StatsRow", "Thresholds", "TrainConfig", "augment",
     "brier_grads", "build_prototypes", "correction_probability",
     "correction_stats", "cosine_lr", "cross_entropy_grads",
-    "epoch_shuffle_rng", "evaluate", "export_embeddings", "generate_blobs",
+    "evaluate", "export_embeddings", "generate_blobs",
     "guess_labels", "init_network", "inject_ambiguity_noise",
     "inject_factual_noise", "lambda_ramp", "load_correction_log",
-    "load_dataset", "mix_rng", "mixup", "one_hot", "parse_report",
+    "load_dataset", "mixup", "one_hot", "parse_report",
     "repartition", "repartition_rng", "round_half_away", "run_with_artifacts",
     "save_correction_log", "save_dataset", "semi_train_epoch", "sharpen",
     "softmax", "split_by_agreement", "split_heldout", "train_epoch",

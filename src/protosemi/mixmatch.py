@@ -231,18 +231,16 @@ def semi_train_epoch(net: Network, confident_view, unconfident_view,
         else:
             pool_x, pool_p = xb, pb
 
+        # mixup draws one lambda per row in row order, labeled rows first
         pool_order = rng.permutation(pool_x.shape[0])
-        lab_partners = pool_order[:len(idx)]
-        mixed_x, mixed_p = mixup(xb, pb, pool_x[lab_partners], pool_p[lab_partners],
+        mixed_x, mixed_p = mixup(pool_x, pool_p, pool_x[pool_order], pool_p[pool_order],
                                  semi_config.mix_alpha, rng)
-        loss_l, grads_w, grads_b = cross_entropy_grads(net, mixed_x, mixed_p)
-        labeled_total += loss_l * len(idx)
+        b = len(idx)
+        loss_l, grads_w, grads_b = cross_entropy_grads(net, mixed_x[:b], mixed_p[:b])
+        labeled_total += loss_l * b
 
         if use_unlabeled:
-            unl_partners = pool_order[len(idx):]
-            umix_x, umix_p = mixup(ub, qb, pool_x[unl_partners], pool_p[unl_partners],
-                                   semi_config.mix_alpha, rng)
-            loss_u, ugrads_w, ugrads_b = brier_grads(net, umix_x, umix_p)
+            loss_u, ugrads_w, ugrads_b = brier_grads(net, mixed_x[b:], mixed_p[b:])
             unlabeled_total += loss_u * len(take)
             unlabeled_count += len(take)
             grads_w = [g + lam_u * ug for g, ug in zip(grads_w, ugrads_w)]

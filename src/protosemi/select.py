@@ -161,14 +161,16 @@ def build_prototypes(net: Network, ds: NoisyDataset, partition: Partition) -> Pr
 
 def cosine_to_rows(vec: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Cosine similarity of one vector against each row of a matrix."""
-    vec_norm = np.linalg.norm(vec)
-    row_norms = np.linalg.norm(rows, axis=1)
+    # the expressions np.linalg.norm and np.clip evaluate, without their
+    # per-call dispatch; called once per unconfident sample
+    vec_norm = np.sqrt(vec.dot(vec))
+    row_norms = np.sqrt(np.add.reduce(rows * rows, axis=1))
     if vec_norm == 0.0:
         raise DegenerateGeometryError("cosine undefined for a zero embedding")
-    if np.any(row_norms == 0.0):
+    if (row_norms == 0.0).any():
         zero = int(np.argmin(row_norms))
         raise DegenerateGeometryError(f"prototype row {zero} is the zero vector")
-    return np.clip((rows @ vec) / (row_norms * vec_norm), -1.0, 1.0)
+    return np.minimum(np.maximum((rows @ vec) / (row_norms * vec_norm), -1.0), 1.0)
 
 
 def correction_probability(d_max: float | np.ndarray, thresholds: Thresholds):

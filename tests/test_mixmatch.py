@@ -12,6 +12,7 @@ from protosemi.mixmatch import (
     brier_grads,
     guess_labels,
     lambda_ramp,
+    mix_rng,
     mixup,
     semi_train_epoch,
     sharpen,
@@ -19,6 +20,9 @@ from protosemi.mixmatch import (
 from protosemi.net import (
     Network,
     TrainConfig,
+    cosine_lr,
+    cross_entropy_grads,
+    epoch_shuffle_rng,
     init_network,
     one_hot,
     softmax,
@@ -380,3 +384,80 @@ class TestSemiTrainEpoch:
         net = init_network([4, 5, 2], seed=0)
         with pytest.raises(ParameterError):
             semi_train_epoch(net, (xl, yl), xu, SemiConfig(), config, 2)
+
+
+def _two_mixup_epoch(net, confident_view, xu, semi, config, epoch):
+    """The semi epoch with one mixup for the labeled batch and one for the
+    unlabeled batch, each against its own slice of the shuffled pool."""
+    xl, yl = confident_view
+    lr = cosine_lr(epoch, config.total_epochs, config.base_lr)
+    lam_u = semi.lambda_u * lambda_ramp(epoch, config.total_epochs)
+    use_unlabeled = xu.shape[0] > 0 and lam_u > 0.0
+    sigma = semi.aug_sigma
+    n = xl.shape[0]
+    perm = epoch_shuffle_rng(config.seed, epoch).permutation(n)
+    rng = mix_rng(config.seed, epoch)
+    if use_unlabeled:
+        u_order = rng.permutation(xu.shape[0])
+        u_offset = 0
+    labeled_total = unlabeled_total = 0.0
+    unlabeled_count = 0
+    for start in range(0, n, config.batch_size):
+        idx = perm[start:start + config.batch_size]
+        xb = augment(xl[idx], sigma, rng)
+        pb = one_hot(yl[idx], net.num_classes)
+        if use_unlabeled:
+            take = u_order[np.arange(u_offset, u_offset + len(idx)) % u_order.size]
+            u_offset += len(idx)
+            qb = guess_labels(net, xu[take], semi.k_aug, semi.temperature, sigma, rng)
+            ub = augment(xu[take], sigma, rng)
+            pool_x = np.concatenate([xb, ub])
+            pool_p = np.concatenate([pb, qb])
+        else:
+            pool_x, pool_p = xb, pb
+        pool_order = rng.permutation(pool_x.shape[0])
+        lab = pool_order[:len(idx)]
+        mixed_x, mixed_p = mixup(xb, pb, pool_x[lab], pool_p[lab], semi.mix_alpha, rng)
+        loss_l, grads_w, grads_b = cross_entropy_grads(net, mixed_x, mixed_p)
+        labeled_total += loss_l * len(idx)
+        if use_unlabeled:
+            unl = pool_order[len(idx):]
+            umix_x, umix_p = mixup(ub, qb, pool_x[unl], pool_p[unl], semi.mix_alpha, rng)
+            loss_u, ugrads_w, ugrads_b = brier_grads(net, umix_x, umix_p)
+            unlabeled_total += loss_u * len(take)
+            unlabeled_count += len(take)
+            grads_w = [g + lam_u * ug for g, ug in zip(grads_w, ugrads_w)]
+            grads_b = [g + lam_u * ug for g, ug in zip(grads_b, ugrads_b)]
+        net.sgd_step(grads_w, grads_b, lr, config.weight_decay)
+    return labeled_total / n, unlabeled_total / unlabeled_count if unlabeled_count else 0.0
+
+
+class TestSemiEpochReplay:
+    """semi_train_epoch mixes the pool in one call; the two-call loop above
+    must give the same losses and parameters, bit for bit."""
+
+    @pytest.mark.parametrize("dim,n_labeled,n_unlabeled,batch_size,lambda_u", [
+        (4, 26, 10, 5, 1.0),    # last labeled batch has one row
+        (5, 26, 10, 1, 2.0),    # every batch has one row
+        (4, 24, 0, 8, 1.0),     # empty pool
+        (3, 26, 1, 5, 1.0),     # one-row pool
+        (16, 40, 7, 16, 1.0),
+        (4, 26, 10, 5, 0.0),    # lambda_u = 0
+    ])
+    def test_matches_two_mixup_loop(self, dim, n_labeled, n_unlabeled, batch_size, lambda_u):
+        rng = np.random.default_rng(dim * 100 + n_unlabeled)
+        xl = rng.standard_normal((n_labeled, dim))
+        xl[:, 0] += np.where(np.arange(n_labeled) % 2 == 0, 3.0, -3.0)
+        yl = np.arange(n_labeled) % 2
+        xu = rng.standard_normal((n_unlabeled, dim))
+        config = TrainConfig(base_lr=0.05, total_epochs=4, batch_size=batch_size, seed=7)
+        semi = SemiConfig(k_aug=2, temperature=0.5, mix_alpha=0.75,
+                          lambda_u=lambda_u, aug_sigma=0.1)
+        net = init_network([dim, 6, 5, 2], seed=dim)
+        ref = net.copy()
+        for epoch in range(4):
+            got = semi_train_epoch(net, (xl, yl), xu, semi, config, epoch)
+            want = _two_mixup_epoch(ref, (xl, yl), xu, semi, config, epoch)
+            assert got == want
+            assert [a.tobytes() for a in net.weights + net.biases] == \
+                [b.tobytes() for b in ref.weights + ref.biases]

@@ -207,10 +207,31 @@ class TestSimilarity:
 
     def test_zero_vector_degenerate(self):
         rows = np.array([[1.0, 0.0]])
-        with pytest.raises(DegenerateGeometryError):
+        with pytest.raises(DegenerateGeometryError,
+                           match="^cosine undefined for a zero embedding$"):
             cosine_to_rows(np.zeros(2), rows)
-        with pytest.raises(DegenerateGeometryError):
+        with pytest.raises(DegenerateGeometryError,
+                           match="^prototype row 0 is the zero vector$"):
             cosine_to_rows(np.array([1.0, 0.0]), np.zeros((2, 2)))
+        with pytest.raises(DegenerateGeometryError,
+                           match="^prototype row 1 is the zero vector$"):
+            cosine_to_rows(np.array([1.0, 0.0]), np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_equal_to_norm_and_clip_form(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((5, 16))
+        rows[seed] = rows[(seed + 1) % 5]  # a vector equal to a row scores 1
+        for vec in rng.standard_normal((200, 16)):
+            for scale in (1.0, 2.0 ** -40, 2.0 ** 3, 2.0 ** 40):
+                v, r = vec * scale, rows * scale
+                want = np.clip((r @ v) / (np.linalg.norm(r, axis=1) * np.linalg.norm(v)),
+                               -1.0, 1.0)
+                assert cosine_to_rows(v, r).tobytes() == want.tobytes()
+        v = rows[(seed + 1) % 5].copy()
+        want = np.clip((rows @ v) / (np.linalg.norm(rows, axis=1) * np.linalg.norm(v)),
+                       -1.0, 1.0)
+        assert cosine_to_rows(v, rows).tobytes() == want.tobytes()
 
     def test_scale_invariance_powers_of_two_exact(self):
         rng = np.random.default_rng(3)
