@@ -35,13 +35,7 @@ from .pipeline import (
     write_report,
     write_stats_csv,
 )
-from .select import (
-    build_prototypes,
-    correction_stats,
-    load_correction_log,
-    save_correction_log,
-    split_by_agreement,
-)
+from .select import correction_stats, load_correction_log, save_correction_log
 
 # provenance of the matching dataset: checked for well-formedness, never
 # passed to training
@@ -124,11 +118,8 @@ def _cmd_train(args) -> int:
     result = run_with_artifacts(dataset, heldout, config, args.variant)
     report = result.report
     if args.export_embeddings:
-        # the run's corrected labels, split first so an abort writes no file
-        partition = split_by_agreement(result.net, result.dataset)
-        prototypes = build_prototypes(result.net, result.dataset, partition)
-        export_embeddings(result.net, result.dataset, partition, prototypes,
-                          args.export_embeddings)
+        # the run's copy holds the corrected labels the last epoch trained on
+        export_embeddings(result.net, result.dataset, args.export_embeddings)
 
     write_report(report, args.report)
     for epoch, log in result.correction_logs:

@@ -210,7 +210,6 @@ def semi_train_epoch(net: Network, confident_view, unconfident_view,
     rng = mix_rng(train_config.seed, epoch)
     if use_unlabeled:
         u_order = rng.permutation(xu.shape[0])
-        u_offset = 0
 
     labeled_total = 0.0
     unlabeled_total = 0.0
@@ -221,8 +220,7 @@ def semi_train_epoch(net: Network, confident_view, unconfident_view,
         pb = one_hot(yl[idx], net.num_classes)
 
         if use_unlabeled:
-            take = u_order[np.arange(u_offset, u_offset + len(idx)) % u_order.size]
-            u_offset += len(idx)
+            take = u_order[np.arange(start, start + len(idx)) % u_order.size]
             qb = guess_labels(net, xu[take], semi_config.k_aug,
                               semi_config.temperature, sigma, rng)
             ub = augment(xu[take], sigma, rng)

@@ -116,13 +116,6 @@ class Network:
                 w -= lr * gw
             b -= lr * gb
 
-    def copy(self) -> "Network":
-        return Network(
-            list(self.layer_dims),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
-
     def params_equal(self, other: "Network") -> bool:
         return self.layer_dims == other.layer_dims and all(
             np.array_equal(a, b)

@@ -23,8 +23,6 @@ from .mixmatch import SemiConfig, semi_train_epoch
 from .net import Network, TrainConfig, init_network, train_epoch
 from .select import (
     CorrectionRecord,
-    Partition,
-    PrototypeMatrix,
     StatsRow,
     Thresholds,
     build_prototypes,
@@ -172,16 +170,29 @@ class CorrectionEpoch:
 
 @dataclass
 class RunReport:
-    """Everything measurable about one run."""
+    """Everything measurable about one run; its summary derives from the rows."""
 
     variant: str
-    seed: int
-    config_echo: dict
+    config_echo: dict  # config-file text by key, as PipelineConfig.echo() gives it
     epochs: list
     corrections: list
-    final_accuracy: float
-    best_accuracy: float
-    best_epoch: int
+
+    @property
+    def seed(self) -> int:
+        return int(self.config_echo["seed"])
+
+    @property
+    def final_accuracy(self) -> float:
+        return self.epochs[-1].heldout_accuracy
+
+    @property
+    def best_epoch(self) -> int:
+        """Position of the first epoch row with the highest held-out accuracy."""
+        return int(np.argmax([r.heldout_accuracy for r in self.epochs]))
+
+    @property
+    def best_accuracy(self) -> float:
+        return self.epochs[self.best_epoch].heldout_accuracy
 
 
 @dataclass
@@ -260,44 +271,37 @@ def run_with_artifacts(dataset: NoisyDataset, heldout: NoisyDataset,
                                   int(part.confident_idx.size),
                                   int(part.unconfident_idx.size), acc))
 
-    accuracies = [r.heldout_accuracy for r in epochs]
-    best_epoch = int(np.argmax(accuracies))
-    report = RunReport(
-        variant=variant,
-        seed=config.seed,
-        config_echo=config.echo(),
-        epochs=epochs,
-        corrections=corrections,
-        final_accuracy=accuracies[-1],
-        best_accuracy=accuracies[best_epoch],
-        best_epoch=best_epoch,
-    )
+    report = RunReport(variant=variant, config_echo=config.echo(),
+                       epochs=epochs, corrections=corrections)
     return RunResult(report=report, net=net, dataset=ds, correction_logs=logs)
 
 
-def export_embeddings(net: Network, dataset: NoisyDataset, partition: Partition,
-                      prototypes: PrototypeMatrix, path) -> None:
-    """CSV of prototype rows and unconfident-sample embeddings.
+def export_embeddings(net: Network, dataset: NoisyDataset, path) -> None:
+    """CSV of class prototypes and unconfident-sample embeddings.
 
-    Prototype rows come first (label = class index, no true label),
-    then one row per unconfident sample in ascending index order with
-    its current working label and true label.  Floats round-trip.
+    The split and prototypes are built from ``net`` and the dataset's
+    current working labels, as a next epoch would build them, before
+    the file is opened, so a degenerate split writes nothing.  Prototype
+    rows come first (label = class index, no true label), then one row
+    per unconfident sample in ascending index order with its working
+    label and true label.  Floats round-trip.
     """
+    partition = split_by_agreement(net, dataset)
+    prototypes = build_prototypes(net, dataset, partition)
     m = prototypes.rows.shape[1]
     header = ["row_type", "label", "true_label"] + [f"e{j}" for j in range(m)]
     lines = [",".join(header)]
     for k in range(prototypes.rows.shape[0]):
         coords = [repr(float(v)) for v in prototypes.rows[k]]
         lines.append(",".join(["prototype", str(k), ""] + coords))
-    if partition.unconfident_idx.size:
-        embeddings = net.embed(dataset.features[partition.unconfident_idx])
-        for row, i in enumerate(partition.unconfident_idx):
-            coords = [repr(float(v)) for v in embeddings[row]]
-            lines.append(",".join([
-                "sample",
-                str(int(dataset.working_labels[i])),
-                str(int(dataset.true_labels[i])),
-            ] + coords))
+    embeddings = net.embed(dataset.features[partition.unconfident_idx])
+    for row, i in enumerate(partition.unconfident_idx):
+        coords = [repr(float(v)) for v in embeddings[row]]
+        lines.append(",".join([
+            "sample",
+            str(int(dataset.working_labels[i])),
+            str(int(dataset.true_labels[i])),
+        ] + coords))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -362,9 +366,10 @@ def parse_report(path) -> RunReport:
     echo = {}
     for f in CONFIG_FIELDS:
         pos, echo[f.key] = take_kv(pos, f.key)
-    pos, final_acc = take_kv(pos, "final_accuracy")
-    pos, best_acc = take_kv(pos, "best_accuracy")
-    pos, best_epoch = take_kv(pos, "best_epoch")
+    summary = {}  # key -> (1-based line number, text), checked against the epoch rows
+    for key in ("final_accuracy", "best_accuracy", "best_epoch"):
+        pos, text = take_kv(pos, key)
+        summary[key] = (pos, text)
 
     def expect(lineno: int, value: str) -> int:
         if lineno >= len(lines) or lines[lineno] != value:
@@ -404,14 +409,16 @@ def parse_report(path) -> RunReport:
                 ),
             ))
             pos += 1
+        if not epochs:
+            raise FormatError(f"{path}: no epoch rows")
+        report = RunReport(variant=variant, config_echo=echo,
+                           epochs=epochs, corrections=corrections)
+        int(echo["seed"])  # the seed property must parse
+        for key, (lineno, text) in summary.items():
+            if (int if key == "best_epoch" else float)(text) != getattr(report, key):
+                raise FormatError(f"line {lineno}: {key}={text} disagrees with the epoch rows")
+    except FormatError:  # a ValueError too, but it already names its line
+        raise
     except ValueError:
         raise FormatError(f"{path}: unparsable numeric field") from None
-    try:
-        return RunReport(
-            variant=variant, seed=int(echo["seed"]), config_echo=echo,
-            epochs=epochs, corrections=corrections,
-            final_accuracy=float(final_acc), best_accuracy=float(best_acc),
-            best_epoch=int(best_epoch),
-        )
-    except ValueError:
-        raise FormatError(f"{path}: unparsable numeric field") from None
+    return report

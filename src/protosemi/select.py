@@ -140,8 +140,7 @@ def build_prototypes(net: Network, ds: NoisyDataset, partition: Partition) -> Pr
     samples, since its prototype would be undefined.
     """
     k = ds.num_classes
-    counts = np.bincount(partition.confident_labels, minlength=k) \
-        if partition.confident_labels.size else np.zeros(k, dtype=np.int64)
+    counts = np.bincount(partition.confident_labels, minlength=k)
     if np.any(counts == 0):
         empty = int(np.argmin(counts))
         raise DegenerateClassError(
@@ -197,7 +196,7 @@ def repartition(net: Network, ds: NoisyDataset, partition: Partition,
     """
     prototypes = build_prototypes(net, ds, partition)
     unconf = partition.unconfident_idx
-    embeddings = net.embed(ds.features[unconf]) if unconf.size else np.empty((0, net.embed_dim))
+    embeddings = net.embed(ds.features[unconf])
     sims = np.array([cosine_to_rows(e, prototypes.rows) for e in embeddings])
     sims = sims.reshape(unconf.size, prototypes.rows.shape[0])
 

@@ -1,5 +1,7 @@
 """Augmentation, label guessing, mixup, and the semi-supervised epoch."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -329,7 +331,7 @@ class TestSemiTrainEpoch:
         semi = SemiConfig(k_aug=2, temperature=0.5, mix_alpha=1e-12,
                           lambda_u=0.0, aug_sigma=0.0)
         net_a = init_network([4, 6, 2], seed=11)
-        net_b = net_a.copy()
+        net_b = copy.deepcopy(net_a)
         for epoch in range(4):
             loss_plain = train_epoch(net_a, xl, yl, config, epoch)
             loss_l, loss_u = semi_train_epoch(net_b, (xl, yl), xu, semi, config, epoch)
@@ -350,7 +352,7 @@ class TestSemiTrainEpoch:
         xl, yl, xu = toy_views(seed=3)
         config = TrainConfig(base_lr=0.05, total_epochs=2, batch_size=8, seed=5)
         net_on = init_network([4, 6, 2], seed=2)
-        net_off = net_on.copy()
+        net_off = copy.deepcopy(net_on)
         # epoch 1 of 2 puts the ramp at min(1, 4*1/2) = 1, full weight
         on = SemiConfig(lambda_u=5.0, aug_sigma=0.0, mix_alpha=0.75)
         off = SemiConfig(lambda_u=0.0, aug_sigma=0.0, mix_alpha=0.75)
@@ -365,7 +367,7 @@ class TestSemiTrainEpoch:
         config = TrainConfig(base_lr=0.03, total_epochs=3, batch_size=8, seed=9)
         semi = SemiConfig(lambda_u=2.0, aug_sigma=0.2)
         net_a = init_network([4, 5, 2], seed=1)
-        net_b = net_a.copy()
+        net_b = copy.deepcopy(net_a)
         losses_a = [semi_train_epoch(net_a, (xl, yl), xu, semi, config, e) for e in range(3)]
         losses_b = [semi_train_epoch(net_b, (xl, yl), xu, semi, config, e) for e in range(3)]
         assert losses_a == losses_b
@@ -454,7 +456,7 @@ class TestSemiEpochReplay:
         semi = SemiConfig(k_aug=2, temperature=0.5, mix_alpha=0.75,
                           lambda_u=lambda_u, aug_sigma=0.1)
         net = init_network([dim, 6, 5, 2], seed=dim)
-        ref = net.copy()
+        ref = copy.deepcopy(net)
         for epoch in range(4):
             got = semi_train_epoch(net, (xl, yl), xu, semi, config, epoch)
             want = _two_mixup_epoch(ref, (xl, yl), xu, semi, config, epoch)

@@ -1,5 +1,6 @@
 """Network forward/backward math and training determinism."""
 
+import copy
 import math
 
 import numpy as np
@@ -214,7 +215,7 @@ class TestTrainEpoch:
     def test_zero_lr_leaves_parameters(self):
         features, labels = self._toy()
         net = init_network([4, 6, 2], seed=0)
-        before = net.copy()
+        before = copy.deepcopy(net)
         config = TrainConfig(base_lr=0.0, total_epochs=3, batch_size=8, seed=0)
         loss = train_epoch(net, features, labels, config, 0)
         assert net.params_equal(before)
@@ -227,8 +228,8 @@ class TestTrainEpoch:
         net = init_network([4, 6, 2], seed=0)
         config_a = TrainConfig(base_lr=0.0, total_epochs=5, batch_size=8, seed=1)
         config_b = TrainConfig(base_lr=0.0, total_epochs=5, batch_size=8, seed=99)
-        loss_a = train_epoch(net.copy(), features, labels, config_a, 0)
-        loss_b = train_epoch(net.copy(), features, labels, config_b, 0)
+        loss_a = train_epoch(copy.deepcopy(net), features, labels, config_a, 0)
+        loss_b = train_epoch(copy.deepcopy(net), features, labels, config_b, 0)
         assert loss_a == pytest.approx(loss_b, rel=1e-12)
 
     def test_separable_blobs_loss_decreases(self):

@@ -11,7 +11,7 @@ from protosemi.data import (
 )
 from protosemi.errors import DegenerateClassError, FormatError, ParameterError
 from protosemi.mixmatch import SemiConfig
-from protosemi.net import Network, TrainConfig, init_network
+from protosemi.net import Network, TrainConfig, init_network, train_epoch
 from protosemi.pipeline import (
     CorrectionEpoch,
     PipelineConfig,
@@ -23,7 +23,6 @@ from protosemi.pipeline import (
     write_stats_csv,
 )
 from protosemi.select import (
-    Partition,
     StatsRow,
     Thresholds,
     build_prototypes,
@@ -291,14 +290,14 @@ class TestExportEmbeddings:
     def trained_artifacts(self):
         train, heldout = noisy_scenario()
         result = run_with_artifacts(train, heldout, small_config(), "full")
-        part = split_by_agreement(result.net, train)
-        protos = build_prototypes(result.net, train, part)
-        return result.net, train, part, protos
+        part = split_by_agreement(result.net, result.dataset)
+        protos = build_prototypes(result.net, result.dataset, part)
+        return result.net, result.dataset, part, protos
 
     def test_row_layout(self, tmp_path):
-        net, train, part, protos = self.trained_artifacts()
+        net, ds, part, protos = self.trained_artifacts()
         path = tmp_path / "emb.csv"
-        export_embeddings(net, train, part, protos, path)
+        export_embeddings(net, ds, path)
         lines = path.read_text().splitlines()
         assert len(lines) == 1 + 3 + part.unconfident_idx.size
         header = lines[0].split(",")
@@ -309,38 +308,48 @@ class TestExportEmbeddings:
             assert cells[0] == "prototype" and cells[1] == str(k) and cells[2] == ""
 
     def test_floats_round_trip(self, tmp_path):
-        net, train, part, protos = self.trained_artifacts()
+        net, ds, part, protos = self.trained_artifacts()
         path = tmp_path / "emb.csv"
-        export_embeddings(net, train, part, protos, path)
+        export_embeddings(net, ds, path)
         lines = path.read_text().splitlines()
         for k in range(3):
             coords = np.array([float(v) for v in lines[1 + k].split(",")[3:]])
             assert np.array_equal(coords, protos.rows[k])
-        embeddings = net.embed(train.features[part.unconfident_idx])
+        embeddings = net.embed(ds.features[part.unconfident_idx])
         for row, i in enumerate(part.unconfident_idx):
             cells = lines[4 + row].split(",")
             assert cells[0] == "sample"
-            assert int(cells[1]) == train.working_labels[i]
-            assert int(cells[2]) == train.true_labels[i]
+            assert int(cells[1]) == ds.working_labels[i]
+            assert int(cells[2]) == ds.true_labels[i]
             coords = np.array([float(v) for v in cells[3:]])
             assert np.array_equal(coords, embeddings[row])
 
     def test_re_export_is_identical(self, tmp_path):
-        net, train, part, protos = self.trained_artifacts()
+        net, ds, _, _ = self.trained_artifacts()
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        export_embeddings(net, train, part, protos, p1)
-        export_embeddings(net, train, part, protos, p2)
+        export_embeddings(net, ds, p1)
+        export_embeddings(net, ds, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_everything_confident_writes_only_prototypes(self, tmp_path):
         clean = generate_blobs(3, 10, 4, 8.0, 0.5, seed=0)
         net = init_network([4, 5, 4, 3], 0)
-        part = Partition(np.arange(clean.n), clean.working_labels.copy(),
-                         np.empty(0, dtype=np.int64))
-        protos = build_prototypes(net, clean, part)
+        config = TrainConfig(base_lr=0.1, total_epochs=20, batch_size=8, seed=0)
+        for epoch in range(20):
+            train_epoch(net, clean.features, clean.working_labels, config, epoch)
+        assert split_by_agreement(net, clean).unconfident_idx.size == 0
         path = tmp_path / "emb.csv"
-        export_embeddings(net, clean, part, protos, path)
+        export_embeddings(net, clean, path)
         assert len(path.read_text().splitlines()) == 4
+
+    def test_class_without_confident_sample_writes_no_file(self, tmp_path):
+        clean = generate_blobs(3, 10, 4, 8.0, 0.5, seed=0)
+        net = init_network([4, 5, 4, 3], 0)
+        assert np.unique(split_by_agreement(net, clean).confident_labels).size < 3
+        path = tmp_path / "emb.csv"
+        with pytest.raises(DegenerateClassError):
+            export_embeddings(net, clean, path)
+        assert not path.exists()
 
 
 class TestReportIO:
@@ -419,6 +428,36 @@ class TestReportIO:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:10]) + "\n")
         with pytest.raises(FormatError):
+            parse_report(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("final_accuracy", "0"), ("best_accuracy", "0.5"), ("best_epoch", "0"),
+    ])
+    def test_rejects_summary_that_disagrees_with_rows(self, tmp_path, key, value):
+        report, _, path = self.roundtrip(tmp_path)
+        assert str(getattr(report, key)) != value
+        lines = path.read_text().splitlines()
+        row = lines.index(f"{key}={getattr(report, key)!r}")
+        lines[row] = f"{key}={value}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=rf"line {row + 1}: {key}={value} disagrees"):
+            parse_report(path)
+
+    def test_rejects_report_without_epoch_rows(self, tmp_path):
+        _, _, path = self.roundtrip(tmp_path)
+        lines = path.read_text().splitlines()
+        first = lines.index("[epochs]") + 2
+        end = lines.index("", first)
+        path.write_text("\n".join(lines[:first] + lines[end:]) + "\n")
+        with pytest.raises(FormatError, match="no epoch rows"):
+            parse_report(path)
+
+    def test_rejects_unparsable_seed(self, tmp_path):
+        _, _, path = self.roundtrip(tmp_path)
+        text = path.read_text()
+        path.write_text(text.replace("\nseed=7\n", "\nseed=seven\n", 1))
+        assert "seed=seven" in path.read_text()
+        with pytest.raises(FormatError, match="unparsable"):
             parse_report(path)
 
 
