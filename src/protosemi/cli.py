@@ -28,6 +28,7 @@ from .errors import (
 )
 from .pipeline import (
     CONFIG_FIELDS,
+    ConfigField,
     VARIANTS,
     PipelineConfig,
     export_embeddings,
@@ -61,16 +62,9 @@ def parse_config_file(path) -> PipelineConfig:
             if key in values:
                 raise FormatError(f"{path} line {lineno}: duplicate key {key!r}")
             values[key] = value
-    missing = [f.key for f in CONFIG_FIELDS if f.key not in values]
-    if missing:
-        raise FormatError(f"{path}: missing required key {', '.join(map(repr, missing))}")
 
     def parse(key: str, parser):
-        try:
-            return parser(values[key])
-        except ValueError:
-            raise FormatError(
-                f"{path}: key {key!r} has unparsable value {values[key]!r}") from None
+        return ConfigField(key, parser).read(values, path)
 
     if "eval_split" in values and not 0.0 < parse("eval_split", float) < 1.0:
         raise FormatError(f"{path}: eval_split must lie in (0, 1)")
@@ -80,7 +74,7 @@ def parse_config_file(path) -> PipelineConfig:
         raise FormatError(f"{path}: noise_rate must lie in [0, 1]")
     if "noise_seed" in values:
         parse("noise_seed", int)
-    return PipelineConfig.from_fields({f.key: parse(f.key, f.parse) for f in CONFIG_FIELDS})
+    return PipelineConfig.from_fields(values, path)
 
 
 def _cmd_gen_data(args) -> int:

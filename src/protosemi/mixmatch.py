@@ -43,14 +43,14 @@ class SemiConfig:
     def __post_init__(self):
         if int(self.k_aug) != self.k_aug or self.k_aug < 1:
             raise ParameterError(f"k_aug must be an integer >= 1, got {self.k_aug}")
-        if not self.temperature > 0:
-            raise ParameterError(f"temperature must be positive, got {self.temperature}")
-        if not self.mix_alpha > 0:
-            raise ParameterError(f"mix_alpha must be positive, got {self.mix_alpha}")
-        if self.lambda_u < 0:
-            raise ParameterError(f"lambda_u must be nonnegative, got {self.lambda_u}")
-        if self.aug_sigma < 0:
-            raise ParameterError(f"aug_sigma must be nonnegative, got {self.aug_sigma}")
+        if not 0 < self.temperature < np.inf:
+            raise ParameterError(f"temperature must be finite and positive, got {self.temperature}")
+        if not 0 < self.mix_alpha < np.inf:
+            raise ParameterError(f"mix_alpha must be finite and positive, got {self.mix_alpha}")
+        if not 0 <= self.lambda_u < np.inf:
+            raise ParameterError(f"lambda_u must be finite and nonnegative, got {self.lambda_u}")
+        if not 0 <= self.aug_sigma < np.inf:
+            raise ParameterError(f"aug_sigma must be finite and nonnegative, got {self.aug_sigma}")
 
 
 def mix_rng(seed: int, epoch: int) -> np.random.Generator:

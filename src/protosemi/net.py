@@ -29,14 +29,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.base_lr < 0:
-            raise ParameterError("base_lr must be nonnegative")
+        if not 0 <= self.base_lr < math.inf:
+            raise ParameterError("base_lr must be finite and nonnegative")
         if self.total_epochs < 1:
             raise ParameterError("total_epochs must be at least 1")
         if self.batch_size < 1:
             raise ParameterError("batch_size must be at least 1")
-        if self.weight_decay < 0:
-            raise ParameterError("weight_decay must be nonnegative")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ParameterError("weight_decay must be finite and nonnegative")
 
 
 class Network:

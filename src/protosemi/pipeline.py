@@ -12,7 +12,9 @@ on an internal copy).
 from __future__ import annotations
 
 import dataclasses
+import re
 from dataclasses import dataclass
+from itertools import takewhile, zip_longest
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -31,15 +33,15 @@ from .select import (
     split_by_agreement,
 )
 
-REPORT_HEADER = "protosemi-report"
 VARIANTS = ("full", "no_repar", "no_semi")
 
 _REPARTITION_STREAM = 2  # rng stream tag; shuffle owns 0, mixing owns 1
 
-_EPOCH_COLUMNS = ("epoch", "phase", "loss_labeled", "loss_unlabeled",
-                  "confident", "unconfident", "heldout_accuracy")
-_CORRECTION_COLUMNS = ("epoch", "unconfident_size", "small_circle",
-                       "corrected", "right", "accuracy_pct")
+# report CSV columns and cell parsers; the schedule and counts give epoch, phase, accuracy_pct
+_EPOCH_COLUMNS = {"epoch": str, "phase": str, "loss_labeled": float, "loss_unlabeled": float,
+                  "confident": int, "unconfident": int, "heldout_accuracy": float}
+_CORRECTION_COLUMNS = {"epoch": str, "unconfident_size": int, "small_circle": int,
+                       "corrected": int, "right": int, "accuracy_pct": str}
 
 
 def _parse_dims(text: str) -> tuple:
@@ -58,6 +60,14 @@ class ConfigField(NamedTuple):
         if self.parse is _parse_dims:
             return ",".join(str(d) for d in value)
         return repr(value) if self.parse is float else str(value)
+
+    def read(self, values: dict, source):
+        """This key's value parsed from config-file text; unparsable is a FormatError."""
+        try:
+            return self.parse(values[self.key])
+        except ValueError:
+            raise FormatError(f"{source}: key {self.key!r} has unparsable value "
+                              f"{values[self.key]!r}") from None
 
 
 # the run-config schema, in report-header order: it drives config-file
@@ -118,27 +128,41 @@ class PipelineConfig:
             raise ParameterError("thresholds must be a Thresholds instance")
         object.__setattr__(self, "train", dataclasses.replace(
             self.train,
-            total_epochs=self.warmup_epochs + self.main_epochs,
+            total_epochs=self.total_epochs,
             seed=self.seed,
         ))
 
     @property
     def total_epochs(self) -> int:
-        return self.warmup_epochs + self.main_epochs
+        return len(self.schedule())
+
+    def schedule(self, variant: str = "full") -> list:
+        """(epoch, phase, repartitions) for each epoch the variant trains, in order.
+
+        Variants: full (the whole method), no_repar (label correction
+        disabled), no_semi (warm-up only, stopping before the main loop).
+        """
+        if variant not in VARIANTS:
+            raise ParameterError(f"variant must be one of {VARIANTS}, got {variant!r}")
+        proto_epochs = 0 if variant == "no_repar" else self.proto_split_epochs
+        main_epochs = 0 if variant == "no_semi" else self.main_epochs
+        return [(epoch, "warmup", False) for epoch in range(self.warmup_epochs)] + [
+            (self.warmup_epochs + i, "semi", i < proto_epochs) for i in range(main_epochs)]
 
     @classmethod
-    def from_fields(cls, values: dict) -> "PipelineConfig":
-        """Build from parsed values keyed as in CONFIG_FIELDS."""
+    def from_fields(cls, values: dict, source) -> "PipelineConfig":
+        """Build from config-file text keyed as in CONFIG_FIELDS; other keys are ignored."""
+        missing = [f.key for f in CONFIG_FIELDS if f.key not in values]
+        if missing:
+            raise FormatError(f"{source}: missing required key {', '.join(map(repr, missing))}")
         parts = {None: {}, "thresholds": {}, "train": {}, "semi": {}}
         for f in CONFIG_FIELDS:
-            parts[f.part][f.key] = values[f.key]
-        top = parts[None]
+            parts[f.part][f.key] = f.read(values, source)
         return cls(
             thresholds=Thresholds(**parts["thresholds"]),
-            train=TrainConfig(total_epochs=top["warmup_epochs"] + top["main_epochs"],
-                              **parts["train"]),
+            train=TrainConfig(total_epochs=1, **parts["train"]),  # __post_init__ sets it
             semi=SemiConfig(**parts["semi"]),
-            **top,
+            **parts[None],
         )
 
     def echo(self) -> dict:
@@ -220,18 +244,10 @@ def evaluate(net: Network, heldout: NoisyDataset) -> float:
 
 def run_with_artifacts(dataset: NoisyDataset, heldout: NoisyDataset,
                        config: PipelineConfig, variant: str = "full") -> RunResult:
-    """Run one variant end to end, keeping the net, labels and correction logs.
-
-    Variants: full (the whole method), no_repar (label correction
-    disabled), no_semi (warm-up only, stopping before the main loop).
-    """
-    if variant not in VARIANTS:
-        raise ParameterError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    """Train the epochs of ``config.schedule(variant)``, keeping the net, labels and logs."""
+    schedule = config.schedule(variant)
     if dataset.num_classes != heldout.num_classes or dataset.dim != heldout.dim:
         raise ParameterError("dataset and heldout must share classes and dimension")
-
-    proto_epochs = 0 if variant == "no_repar" else config.proto_split_epochs
-    main_epochs = 0 if variant == "no_semi" else config.main_epochs
 
     ds = dataset.copy()  # corrections must not leak into the caller's data
     net = init_network([ds.dim, *config.hidden_dims, ds.num_classes], config.seed)
@@ -240,36 +256,32 @@ def run_with_artifacts(dataset: NoisyDataset, heldout: NoisyDataset,
     corrections: list[CorrectionEpoch] = []
     logs: list[tuple[int, list[CorrectionRecord]]] = []
 
-    for epoch in range(config.warmup_epochs):
-        loss = train_epoch(net, ds.features, ds.working_labels, config.train, epoch)
-        acc = evaluate(net, heldout)
-        epochs.append(EpochRecord(epoch, "warmup", loss, 0.0, ds.n, 0, acc))
-
-    for i in range(1, main_epochs + 1):
-        epoch = config.warmup_epochs + i - 1
-        part = split_by_agreement(net, ds)
-        if i <= proto_epochs:
-            try:
-                part, log = repartition(net, ds, part, config.thresholds,
-                                        repartition_rng(config.seed, epoch))
-            except DegenerateClassError as err:
-                raise DegenerateClassError(
-                    f"epoch {epoch}: {err}", class_index=err.class_index
-                ) from err
-            corrections.append(CorrectionEpoch(epoch, correction_stats(log, ds)))
-            logs.append((epoch, log))
-        if part.confident_idx.size == 0:
-            raise DegenerateClassError(f"epoch {epoch}: no confident samples to train on")
-        loss_l, loss_u = semi_train_epoch(
-            net,
-            (ds.features[part.confident_idx], part.confident_labels),
-            ds.features[part.unconfident_idx],
-            config.semi, config.train, epoch,
-        )
-        acc = evaluate(net, heldout)
-        epochs.append(EpochRecord(epoch, "semi", loss_l, loss_u,
-                                  int(part.confident_idx.size),
-                                  int(part.unconfident_idx.size), acc))
+    for epoch, phase, repartitions in schedule:
+        if phase == "warmup":
+            losses = (train_epoch(net, ds.features, ds.working_labels, config.train, epoch), 0.0)
+            sizes = ds.n, 0
+        else:
+            part = split_by_agreement(net, ds)
+            if repartitions:
+                try:
+                    part, log = repartition(net, ds, part, config.thresholds,
+                                            repartition_rng(config.seed, epoch))
+                except DegenerateClassError as err:
+                    raise DegenerateClassError(
+                        f"epoch {epoch}: {err}", class_index=err.class_index
+                    ) from err
+                corrections.append(CorrectionEpoch(epoch, correction_stats(log, ds)))
+                logs.append((epoch, log))
+            if part.confident_idx.size == 0:
+                raise DegenerateClassError(f"epoch {epoch}: no confident samples to train on")
+            losses = semi_train_epoch(
+                net,
+                (ds.features[part.confident_idx], part.confident_labels),
+                ds.features[part.unconfident_idx],
+                config.semi, config.train, epoch,
+            )
+            sizes = int(part.confident_idx.size), int(part.unconfident_idx.size)
+        epochs.append(EpochRecord(epoch, phase, *losses, *sizes, evaluate(net, heldout)))
 
     report = RunReport(variant=variant, config_echo=config.echo(),
                        epochs=epochs, corrections=corrections)
@@ -306,24 +318,26 @@ def export_embeddings(net: Network, dataset: NoisyDataset, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _stats_cells(epoch: int, stats: StatsRow) -> list:
-    acc = "n/a" if stats.accuracy_pct is None else repr(stats.accuracy_pct)
-    return [str(epoch), str(stats.unconfident_size), str(stats.small_circle),
-            str(stats.corrected), str(stats.right), acc]
+def _stats_lines(corrections: list) -> list:
+    """Column names, then one correction-summary row per repartition epoch."""
+    lines = [",".join(_CORRECTION_COLUMNS)]
+    for entry in corrections:
+        s = entry.stats
+        acc = "n/a" if s.accuracy_pct is None else repr(s.accuracy_pct)
+        lines.append(",".join([str(entry.epoch), str(s.unconfident_size), str(s.small_circle),
+                               str(s.corrected), str(s.right), acc]))
+    return lines
 
 
 def write_stats_csv(corrections: list, path) -> None:
     """Correction summaries, one row per repartition epoch."""
-    lines = [",".join(_CORRECTION_COLUMNS)]
-    for entry in corrections:
-        lines.append(",".join(_stats_cells(entry.epoch, entry.stats)))
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(_stats_lines(corrections)) + "\n")
 
 
-def write_report(report: RunReport, path) -> None:
-    """Serialize a report: key=value header, then two CSV blocks."""
-    lines = [f"{REPORT_HEADER} v1"]
+def _report_lines(report: RunReport) -> list:
+    """The report file, line by line: key=value header, then two CSV blocks."""
+    lines = ["protosemi-report v1"]
     lines.append(f"variant={report.variant}")
     for f in CONFIG_FIELDS:
         lines.append(f"{f.key}={report.config_echo[f.key]}")
@@ -340,85 +354,55 @@ def write_report(report: RunReport, path) -> None:
         ]))
     lines.append("")
     lines.append("[corrections]")
-    lines.append(",".join(_CORRECTION_COLUMNS))
-    for entry in report.corrections:
-        lines.append(",".join(_stats_cells(entry.epoch, entry.stats)))
+    lines.extend(_stats_lines(report.corrections))
+    return lines
+
+
+def write_report(report: RunReport, path) -> None:
+    """Serialize a report; :func:`parse_report` reads it back."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(_report_lines(report)) + "\n")
 
 
 def parse_report(path) -> RunReport:
-    """Read back a report written by :func:`write_report`."""
-    lines = read_ascii(path).splitlines()
-    if not lines or lines[0] != f"{REPORT_HEADER} v1":
-        raise FormatError(f"{path}: not a {REPORT_HEADER} v1 file")
+    """Read a report; accept exactly what :func:`write_report` writes for its run.
 
-    def take_kv(lineno: int, key: str) -> tuple:
-        if lineno >= len(lines) or "=" not in lines[lineno]:
-            raise FormatError(f"line {lineno + 1}: expected {key}=...")
-        got, _, value = lines[lineno].partition("=")
-        if got != key:
-            raise FormatError(f"line {lineno + 1}: expected key {key}, got {got}")
-        return lineno + 1, value
-
-    pos = 1
-    pos, variant = take_kv(pos, "variant")
-    echo = {}
-    for f in CONFIG_FIELDS:
-        pos, echo[f.key] = take_kv(pos, f.key)
-    summary = {}  # key -> (1-based line number, text), checked against the epoch rows
-    for key in ("final_accuracy", "best_accuracy", "best_epoch"):
-        pos, text = take_kv(pos, key)
-        summary[key] = (pos, text)
-
-    def expect(lineno: int, value: str) -> int:
-        if lineno >= len(lines) or lines[lineno] != value:
-            raise FormatError(f"line {lineno + 1}: expected {value!r}")
-        return lineno + 1
-
+    Rows follow ``PipelineConfig.schedule``; a FormatError names the bad line.
+    """
+    lines = read_ascii(path).split("\n")
+    head = list(takewhile(bool, lines))  # header line, variant, config echo, summary
+    values = dict(line.partition("=")[::2] for line in head[1:])
     try:
-        pos = expect(pos, "")
-        pos = expect(pos, "[epochs]")
-        pos = expect(pos, ",".join(_EPOCH_COLUMNS))
-        epochs = []
-        while pos < len(lines) and lines[pos] != "":
-            cells = lines[pos].split(",")
-            if len(cells) != len(_EPOCH_COLUMNS):
-                raise FormatError(f"line {pos + 1}: bad epoch row")
-            epochs.append(EpochRecord(
-                epoch=int(cells[0]), phase=cells[1],
-                loss_labeled=float(cells[2]), loss_unlabeled=float(cells[3]),
-                confident=int(cells[4]), unconfident=int(cells[5]),
-                heldout_accuracy=float(cells[6]),
-            ))
-            pos += 1
-        pos = expect(pos, "")
-        pos = expect(pos, "[corrections]")
-        pos = expect(pos, ",".join(_CORRECTION_COLUMNS))
-        corrections = []
-        while pos < len(lines) and lines[pos] != "":
-            cells = lines[pos].split(",")
-            if len(cells) != len(_CORRECTION_COLUMNS):
-                raise FormatError(f"line {pos + 1}: bad correction row")
-            corrections.append(CorrectionEpoch(
-                epoch=int(cells[0]),
-                stats=StatsRow(
-                    unconfident_size=int(cells[1]), small_circle=int(cells[2]),
-                    corrected=int(cells[3]), right=int(cells[4]),
-                    accuracy_pct=None if cells[5] == "n/a" else float(cells[5]),
-                ),
-            ))
-            pos += 1
-        if not epochs:
-            raise FormatError(f"{path}: no epoch rows")
-        report = RunReport(variant=variant, config_echo=echo,
-                           epochs=epochs, corrections=corrections)
-        int(echo["seed"])  # the seed property must parse
-        for key, (lineno, text) in summary.items():
-            if (int if key == "best_epoch" else float)(text) != getattr(report, key):
-                raise FormatError(f"line {lineno}: {key}={text} disagrees with the epoch rows")
-    except FormatError:  # a ValueError too, but it already names its line
-        raise
-    except ValueError:
-        raise FormatError(f"{path}: unparsable numeric field") from None
+        config = PipelineConfig.from_fields(values, path)
+        schedule = config.schedule(values.get("variant"))
+    except ParameterError as err:  # name the first line whose key the message names
+        lineno = next((n for n, line in enumerate(head[1:], 2)
+                       if line.partition("=")[0] in re.findall(r"\w+", str(err))), 2)
+        raise FormatError(f"{path} line {lineno}: {err}") from None
+    epochs, corrections, ends = [], [], []  # ends: per block, the line after its rows
+    fixed = [epoch for epoch, _, repartitions in schedule if repartitions]
+    at = len(head) + 3  # past the blank line, the block title and its column names
+    for name, columns, rows in (("epoch", _EPOCH_COLUMNS, epochs),
+                                ("correction", _CORRECTION_COLUMNS, corrections)):
+        for lineno, line in enumerate(takewhile(bool, lines[at:]), at + 1):
+            try:  # zip's strict raises ValueError on a wrong cell count
+                rows.append([parse(cell) for parse, cell in
+                             zip(columns.values(), line.split(","), strict=True)])
+            except ValueError:
+                raise FormatError(f"{path} line {lineno}: unparsable {name} row") from None
+        ends.append(at + len(rows))
+        at = ends[-1] + 3
+    if not epochs:
+        raise FormatError(f"{path} line {ends[0] + 1}: no epoch rows")
+    report = RunReport(
+        values["variant"], config.echo(),
+        [EpochRecord(e, p, *cells[2:]) for (e, p, _), cells in zip(schedule, epochs)],
+        [CorrectionEpoch(e, StatsRow(*cells[1:5])) for e, cells in zip(fixed, corrections)])
+    written = _report_lines(report) + [""]
+    # a scheduled row the file lacks differs from whatever stands in its place
+    written[ends[1]:ends[1]] = [f"<row of epoch {e}>" for e in fixed[len(corrections):]]
+    written[ends[0]:ends[0]] = [f"<row of epoch {e}>" for e, _, _ in schedule[len(epochs):]]
+    for lineno, (got, want) in enumerate(zip_longest(lines, written, fillvalue="<end>"), 1):
+        if got != want:
+            raise FormatError(f"{path} line {lineno}: {got} disagrees; write_report gives {want!r}")
     return report

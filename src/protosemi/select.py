@@ -115,7 +115,11 @@ class StatsRow:
     small_circle: int
     corrected: int
     right: int
-    accuracy_pct: float | None  # None when nothing was corrected
+
+    @property
+    def accuracy_pct(self) -> float | None:
+        """Percent of the corrected labels that are right; None when none was corrected."""
+        return 100.0 * self.right / self.corrected if self.corrected else None
 
     def accuracy_text(self) -> str:
         return "n/a" if self.accuracy_pct is None else f"{self.accuracy_pct:.2f}%"
@@ -237,13 +241,11 @@ def correction_stats(log: list[CorrectionRecord], ds: NoisyDataset) -> StatsRow:
         if not 0 <= r.index < ds.n:
             raise FormatError(f"log entry references index {r.index} outside dataset of {ds.n}")
     right = sum(1 for r in corrected if r.proto_label == ds.true_labels[r.index])
-    accuracy = 100.0 * right / len(corrected) if corrected else None
     return StatsRow(
         unconfident_size=len(log),
         small_circle=len(small),
         corrected=len(corrected),
         right=right,
-        accuracy_pct=accuracy,
     )
 
 
@@ -282,8 +284,12 @@ def load_correction_log(path) -> list[CorrectionRecord]:
                 )
             except ValueError:
                 raise FormatError(f"line {lineno}: unparsable field") from None
-            if rec.zone not in ZONES or rec.action not in ACTIONS:
-                raise FormatError(f"line {lineno}: unknown zone or action")
+            # only the outside zone leaves a sample unmoved
+            if (rec.zone not in ZONES or rec.action not in ACTIONS
+                    or (rec.zone == "outside") != (rec.action == "unmoved")):
+                raise FormatError(f"line {lineno}: zone {rec.zone} cannot take action {rec.action}")
+            if not (0.0 <= rec.p_correct <= 1.0 and -1.0 <= rec.d_max <= 1.0):
+                raise FormatError(f"line {lineno}: p_correct or d_max out of range")
             if rec.index < 0:
                 raise FormatError(f"line {lineno}: negative index")
             records.append(rec)

@@ -314,6 +314,20 @@ class TestConfigFile:
         path.write_text("".join(f"{k}={v}\n" for k, v in cfg.echo().items()))
         assert parse_config_file(path) == cfg
 
+    @pytest.mark.parametrize("key, value", [
+        ("base_lr", "nan"), ("weight_decay", "nan"), ("temperature", "inf"),
+        ("mix_alpha", "inf"), ("lambda_u", "nan"), ("aug_sigma", "inf"),
+    ])
+    def test_non_finite_value_exits_two(self, dataset_files, tmp_path, capsys, key, value):
+        train, heldout = dataset_files
+        config = write_config(tmp_path / "run.cfg", **{key: value})
+        report = tmp_path / "r"
+        code = main(["train", "--config", str(config), "--data", str(train),
+                     "--heldout", str(heldout), "--report", str(report)])
+        assert code == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_duplicate_key_rejected(self, tmp_path):
         path = write_config(tmp_path / "run.cfg")
         path.write_text(path.read_text() + "seed=8\n")

@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never uses.
 
-The package root is exempt, since its imports are its re-exports.
+Checked: the package, the tests and the demos.  The package root is
+exempt, since its imports are its re-exports.
 """
 
 import ast
@@ -8,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "protosemi"
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "protosemi"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted((REPO / "tests").glob("*.py")) + sorted((REPO / "demos").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:

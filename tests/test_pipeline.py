@@ -1,5 +1,7 @@
 """Orchestration: run shapes, determinism, purity, and report files."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from protosemi.errors import DegenerateClassError, FormatError, ParameterError
 from protosemi.mixmatch import SemiConfig
 from protosemi.net import Network, TrainConfig, init_network, train_epoch
 from protosemi.pipeline import (
+    VARIANTS,
     CorrectionEpoch,
     PipelineConfig,
     evaluate,
@@ -69,6 +72,18 @@ class TestPipelineConfig:
     def test_total_epochs_property(self):
         assert small_config().total_epochs == 7
         assert small_config(main_epochs=0, proto_split_epochs=0).total_epochs == 4
+
+    def test_schedule(self):
+        warmup = [(0, "warmup", False), (1, "warmup", False),
+                  (2, "warmup", False), (3, "warmup", False)]
+        cfg = small_config()
+        assert cfg.schedule() == cfg.schedule("full") == warmup + [
+            (4, "semi", True), (5, "semi", True), (6, "semi", False)]
+        assert cfg.schedule("no_repar") == warmup + [
+            (4, "semi", False), (5, "semi", False), (6, "semi", False)]
+        assert cfg.schedule("no_semi") == warmup
+        with pytest.raises(ParameterError):
+            cfg.schedule("bogus")
 
     @pytest.mark.parametrize("bad", [
         dict(hidden_dims=()),
@@ -452,6 +467,63 @@ class TestReportIO:
         with pytest.raises(FormatError, match="no epoch rows"):
             parse_report(path)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_rows_follow_the_schedule(self, variant):
+        config = small_config()
+        report = run_with_artifacts(*noisy_scenario(), config, variant).report
+        schedule = config.schedule(variant)
+        assert [(r.epoch, r.phase) for r in report.epochs] == [(e, p) for e, p, _ in schedule]
+        assert [c.epoch for c in report.corrections] == [e for e, _, fix in schedule if fix]
+
+    @pytest.mark.parametrize("block, cell, value", [
+        ("[epochs]", 0, "9"),           # an epoch number off the schedule
+        ("[epochs]", 1, "bogus"),       # a phase off the schedule
+        ("[corrections]", 5, "12.5"),   # not what right and corrected give
+    ])
+    def test_rejects_edited_row(self, tmp_path, block, cell, value):
+        _, _, path = self.roundtrip(tmp_path)
+        lines = path.read_text().splitlines()
+        row = lines.index(block) + 2  # the block's first row
+        cells = lines[row].split(",")
+        assert cells[cell] != value
+        cells[cell] = value
+        lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        message = f"line {row + 1}: {lines[row]} disagrees"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            parse_report(path)
+
+    @pytest.mark.parametrize("line, edit, message", [
+        ("alpha=0.9", "alpha=0.2", "thresholds must satisfy"),  # alpha equal to beta
+        ("base_lr=0.1", "base_lr=1e-1", "base_lr=1e-1 disagrees"),
+        ("base_lr=0.1", "base_lr=nan", "base_lr must be finite"),
+        ("variant=full", "variant=bogus", "variant must be one of"),
+    ])
+    def test_rejects_edited_header(self, tmp_path, line, edit, message):
+        _, _, path = self.roundtrip(tmp_path)
+        lines = path.read_text().splitlines()
+        row = lines.index(line)
+        lines[row] = edit
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=rf"line {row + 1}: {message}"):
+            parse_report(path)
+
+    @pytest.mark.parametrize("extra", [True, False])
+    def test_rejects_extra_or_missing_correction_row(self, tmp_path, extra):
+        report, _, path = self.roundtrip(tmp_path)
+        assert len(report.corrections) == 2
+        lines = path.read_text().splitlines()
+        last = len(lines) - 1  # the last correction row
+        if extra:
+            lines.append(lines[last])
+        else:
+            del lines[last]
+        path.write_text("\n".join(lines) + "\n")
+        message = f"line {last + 2}: {lines[last]} disagrees" if extra else (
+            f"line {last + 1}:  disagrees; write_report gives '<row of epoch 5>'")
+        with pytest.raises(FormatError, match=re.escape(message)):
+            parse_report(path)
+
     def test_rejects_unparsable_seed(self, tmp_path):
         _, _, path = self.roundtrip(tmp_path)
         text = path.read_text()
@@ -464,13 +536,13 @@ class TestReportIO:
 class TestStatsCsv:
     def test_written_rows(self, tmp_path):
         corrections = [
-            CorrectionEpoch(4, StatsRow(37, 20, 19, 18, 90.0)),
-            CorrectionEpoch(5, StatsRow(12, 0, 0, 0, None)),
+            CorrectionEpoch(4, StatsRow(37, 20, 20, 18)),
+            CorrectionEpoch(5, StatsRow(12, 0, 0, 0)),
         ]
         path = tmp_path / "stats.csv"
         write_stats_csv(corrections, path)
         assert path.read_text() == (
             "epoch,unconfident_size,small_circle,corrected,right,accuracy_pct\n"
-            "4,37,20,19,18,90.0\n"
+            "4,37,20,20,18,90.0\n"
             "5,12,0,0,0,n/a\n"
         )

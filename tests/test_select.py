@@ -471,7 +471,7 @@ class TestCorrectionStats:
     def test_empty_log_reports_na(self):
         ds = NoisyDataset(np.zeros((2, 2)), np.array([0, 1]), np.array([0, 1]), 2)
         stats = correction_stats([], ds)
-        assert stats == StatsRow(0, 0, 0, 0, None)
+        assert stats == StatsRow(0, 0, 0, 0)
         assert stats.accuracy_text() == "n/a"
 
     def test_counts_only_small_circle(self):
@@ -528,6 +528,26 @@ class TestCorrectionLogCsv:
             "0,0.5,1,0,nowhere,corrected,1.0,1\n"
         )
         with pytest.raises(FormatError):
+            load_correction_log(path)
+
+    @pytest.mark.parametrize("row", [
+        "1,0.1,1,0,outside,corrected,7.5,1",   # an action outside does not take
+        "1,0.1,1,0,outside,retained,0.0,1",
+        "1,0.95,1,0,small,unmoved,1.0,1",      # only outside leaves a sample unmoved
+        "1,0.5,1,0,ring,unmoved,0.5,1",
+        "1,0.95,1,0,small,corrected,1.5,1",    # p_correct outside [0, 1]
+        "1,0.5,1,0,ring,retained,-0.5,1",
+        "1,0.5,1,0,ring,retained,nan,1",
+        "1,1.5,1,0,small,corrected,1.0,1",     # d_max outside [-1, 1]
+        "1,-2.0,1,0,outside,unmoved,0.0,1",
+    ])
+    def test_impossible_row_rejected(self, tmp_path, row):
+        path = tmp_path / "log.csv"
+        path.write_text(
+            "index,d_max,proto_label,prior_label,zone,action,p_correct,true_label\n"
+            "0,0.95,1,0,small,corrected,1.0,1\n" + row + "\n"
+        )
+        with pytest.raises(FormatError, match="line 3:"):
             load_correction_log(path)
 
     def test_unparsable_number_rejected(self, tmp_path):
