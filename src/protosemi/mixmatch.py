@@ -67,7 +67,10 @@ def augment(x: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray
     if sigma < 0:
         raise ParameterError(f"sigma must be nonnegative, got {sigma}")
     x = np.asarray(x, dtype=np.float64)
-    return x + sigma * rng.standard_normal(x.shape)
+    jitter = rng.standard_normal(x.shape)
+    jitter *= sigma
+    jitter += x
+    return jitter
 
 
 def _check_simplex(p: np.ndarray) -> np.ndarray:
@@ -96,7 +99,8 @@ def _sharpen(p: np.ndarray, temperature: float) -> np.ndarray:
     if temperature == 1.0:
         return p.copy()
     powered = p ** (1.0 / temperature)
-    return powered / powered.sum(axis=-1, keepdims=True)
+    powered /= np.add.reduce(powered, axis=-1, keepdims=True)
+    return powered
 
 
 def guess_labels(net: Network, u: np.ndarray, k_aug: int, temperature: float,
@@ -142,7 +146,12 @@ def mixup(x1: np.ndarray, p1: np.ndarray, x2: np.ndarray, p2: np.ndarray,
         return lam * x1 + (1.0 - lam) * x2, lam * p1 + (1.0 - lam) * p2
     lam = rng.beta(mix_alpha, mix_alpha, size=x1.shape[0])
     lam = np.maximum(lam, 1.0 - lam)[:, None]
-    return lam * x1 + (1.0 - lam) * x2, lam * p1 + (1.0 - lam) * p2
+    rest = 1.0 - lam
+    mixed_x = lam * x1
+    mixed_x += rest * x2
+    mixed_p = lam * p1
+    mixed_p += rest * p2
+    return mixed_x, mixed_p
 
 
 def lambda_ramp(epoch: int, total_epochs: int) -> float:
@@ -162,9 +171,15 @@ def brier_grads(net: Network, batch: np.ndarray, targets: np.ndarray):
     probs = softmax(logits)
     err = probs - targets
     b, k = err.shape
-    loss = float(np.mean(err ** 2))
-    # d(loss)/d(logits) through the softmax Jacobian
-    logit_grad = (2.0 / (b * k)) * probs * (err - (err * probs).sum(axis=1, keepdims=True))
+    scratch = err * err
+    loss = float(np.add.reduce(scratch, axis=None) / scratch.size)  # np.mean's bits
+    # d(loss)/d(logits) through the softmax Jacobian:
+    # (2 / (b k)) * probs * (err - sum(err * probs)), in place
+    np.multiply(err, probs, out=scratch)
+    err -= np.add.reduce(scratch, axis=1, keepdims=True)
+    logit_grad = probs
+    logit_grad *= 2.0 / (b * k)
+    logit_grad *= err
     grads_w, grads_b = net.backprop(acts, logit_grad)
     return loss, grads_w, grads_b
 
@@ -211,19 +226,24 @@ def semi_train_epoch(net: Network, confident_view, unconfident_view,
     if use_unlabeled:
         u_order = rng.permutation(xu.shape[0])
 
+    # one gather per epoch; each labeled batch is a slice of it
+    xl_shuffled = xl[perm]
+    pl_shuffled = one_hot(yl[perm], net.num_classes)
     labeled_total = 0.0
     unlabeled_total = 0.0
     unlabeled_count = 0
     for start in range(0, n, train_config.batch_size):
-        idx = perm[start:start + train_config.batch_size]
-        xb = augment(xl[idx], sigma, rng)
-        pb = one_hot(yl[idx], net.num_classes)
+        stop = min(start + train_config.batch_size, n)
+        b = stop - start
+        xb = augment(xl_shuffled[start:stop], sigma, rng)
+        pb = pl_shuffled[start:stop]
 
         if use_unlabeled:
-            take = u_order[np.arange(start, start + len(idx)) % u_order.size]
-            qb = guess_labels(net, xu[take], semi_config.k_aug,
+            take = u_order[np.arange(start, stop) % u_order.size]
+            xt = xu[take]
+            qb = guess_labels(net, xt, semi_config.k_aug,
                               semi_config.temperature, sigma, rng)
-            ub = augment(xu[take], sigma, rng)
+            ub = augment(xt, sigma, rng)
             pool_x = np.concatenate([xb, ub])
             pool_p = np.concatenate([pb, qb])
         else:
@@ -233,16 +253,16 @@ def semi_train_epoch(net: Network, confident_view, unconfident_view,
         pool_order = rng.permutation(pool_x.shape[0])
         mixed_x, mixed_p = mixup(pool_x, pool_p, pool_x[pool_order], pool_p[pool_order],
                                  semi_config.mix_alpha, rng)
-        b = len(idx)
         loss_l, grads_w, grads_b = cross_entropy_grads(net, mixed_x[:b], mixed_p[:b])
         labeled_total += loss_l * b
 
         if use_unlabeled:
             loss_u, ugrads_w, ugrads_b = brier_grads(net, mixed_x[b:], mixed_p[b:])
-            unlabeled_total += loss_u * len(take)
-            unlabeled_count += len(take)
-            grads_w = [g + lam_u * ug for g, ug in zip(grads_w, ugrads_w)]
-            grads_b = [g + lam_u * ug for g, ug in zip(grads_b, ugrads_b)]
+            unlabeled_total += loss_u * b
+            unlabeled_count += b
+            for g, ug in zip(grads_w + grads_b, ugrads_w + ugrads_b):
+                ug *= lam_u
+                g += ug
 
         net.sgd_step(grads_w, grads_b, lr, train_config.weight_decay)
 

@@ -76,9 +76,13 @@ class Network:
         a = self._check_input(np.atleast_2d(batch))
         acts = [a]
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = np.tanh(a @ w + b)
+            # in place on the fresh product: the bits of np.tanh(a @ w + b)
+            a = a @ w
+            a += b
+            np.tanh(a, out=a)
             acts.append(a)
-        logits = a @ self.weights[-1] + self.biases[-1]
+        logits = a @ self.weights[-1]
+        logits += self.biases[-1]
         return acts, logits
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -102,16 +106,24 @@ class Network:
         delta = logit_grad
         for layer in reversed(range(len(self.weights))):
             grads_w[layer] = acts[layer].T @ delta
-            grads_b[layer] = delta.sum(axis=0)
+            grads_b[layer] = np.add.reduce(delta, axis=0)
             if layer > 0:
-                delta = (delta @ self.weights[layer].T) * (1.0 - acts[layer] ** 2)
+                # tanh' = 1 - a**2, built in one buffer; a*a has the bits of a**2
+                slope = acts[layer] * acts[layer]
+                np.subtract(1.0, slope, out=slope)
+                delta = delta @ self.weights[layer].T
+                delta *= slope
         return grads_w, grads_b
 
     def sgd_step(self, grads_w, grads_b, lr: float, weight_decay: float = 0.0) -> None:
         """In-place SGD update; decay is an L2 term on the weights only."""
         for w, b, gw, gb in zip(self.weights, self.biases, grads_w, grads_b):
             if weight_decay > 0.0:
-                w -= lr * (gw + weight_decay * w)
+                # lr * (gw + weight_decay * w), in one temporary
+                step = weight_decay * w
+                step += gw
+                step *= lr
+                w -= step
             else:
                 w -= lr * gw
             b -= lr * gb
@@ -143,12 +155,29 @@ def init_network(layer_dims, seed: int) -> Network:
     return Network(dims, weights, biases)
 
 
+def _class_max(z: np.ndarray) -> np.ndarray:
+    """``z.max(axis=-1)``, reduced over a copy with the class axis first.
+
+    numpy reduces over the leading axis of a contiguous array one whole
+    row at a time, several times faster than over a short trailing axis.
+    ``z.T`` puts the class axis first and the ``.T`` of the result puts
+    the other axes back in order.  The values are those of ``z.max``;
+    only the sign of a zero maximum can differ (for 8 or more classes).
+    Subtracted from its row, such a maximum makes the shifted entry +0
+    or -0, whose exp is 1 either way, so the kernels below keep their
+    bits.  Class-axis sums are not reordered this way: from 8 classes
+    on, numpy sums a trailing axis pairwise.
+    """
+    return np.maximum.reduce(np.ascontiguousarray(z.T), axis=0).T
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax; accepts a (K,) vector or (B, K) batch."""
     z = np.asarray(logits, dtype=np.float64)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - _class_max(z)[..., None]
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -165,12 +194,17 @@ def cross_entropy_grads(net: Network, batch: np.ndarray, targets: np.ndarray):
     over the batch.
     """
     acts, logits = net.activations(batch)
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits  # activations returns a fresh array: shift it in place
+    shifted -= _class_max(logits)[:, None]
     exp = np.exp(shifted)
-    norm = exp.sum(axis=1)
-    loss = float(np.mean(np.log(norm) - np.sum(targets * shifted, axis=1)))
-    # softmax(logits), from the same exponentials
-    logit_grad = (exp / norm[:, None] - targets) / batch.shape[0]
+    norm = np.add.reduce(exp, axis=1)
+    per_row = np.log(norm) - np.add.reduce(targets * shifted, axis=1)
+    loss = float(np.add.reduce(per_row) / per_row.size)  # np.mean's bits
+    # softmax(logits) - targets, over the batch, from the same exponentials
+    logit_grad = exp
+    logit_grad /= norm[:, None]
+    logit_grad -= targets
+    logit_grad /= batch.shape[0]
     grads_w, grads_b = net.backprop(acts, logit_grad)
     return loss, grads_w, grads_b
 
@@ -206,11 +240,13 @@ def train_epoch(net: Network, features: np.ndarray, labels: np.ndarray,
         raise ParameterError("epoch_index must be below total_epochs")
     lr = cosine_lr(epoch_index, config.total_epochs, config.base_lr)
     perm = epoch_shuffle_rng(config.seed, epoch_index).permutation(n)
+    # one gather per epoch; each batch is a slice of it
+    shuffled = features[perm]
+    targets = one_hot(labels[perm], net.num_classes)
     total_loss = 0.0
     for start in range(0, n, config.batch_size):
-        idx = perm[start:start + config.batch_size]
-        targets = one_hot(labels[idx], net.num_classes)
-        loss, grads_w, grads_b = cross_entropy_grads(net, features[idx], targets)
+        stop = min(start + config.batch_size, n)
+        loss, grads_w, grads_b = cross_entropy_grads(net, shuffled[start:stop], targets[start:stop])
         net.sgd_step(grads_w, grads_b, lr, config.weight_decay)
-        total_loss += loss * len(idx)
+        total_loss += loss * (stop - start)
     return total_loss / n

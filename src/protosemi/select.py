@@ -235,11 +235,11 @@ def repartition(net: Network, ds: NoisyDataset, partition: Partition,
 
 def correction_stats(log: list[CorrectionRecord], ds: NoisyDataset) -> StatsRow:
     """Small-circle correction quality, judged against the true labels."""
-    small = [r for r in log if r.zone == "small"]
-    corrected = [r for r in small if r.action == "corrected"]
-    for r in corrected:
+    for r in log:
         if not 0 <= r.index < ds.n:
             raise FormatError(f"log entry references index {r.index} outside dataset of {ds.n}")
+    small = [r for r in log if r.zone == "small"]
+    corrected = [r for r in small if r.action == "corrected"]
     right = sum(1 for r in corrected if r.proto_label == ds.true_labels[r.index])
     return StatsRow(
         unconfident_size=len(log),
@@ -264,6 +264,7 @@ def save_correction_log(log: list[CorrectionRecord], ds: NoisyDataset, path) -> 
 def load_correction_log(path) -> list[CorrectionRecord]:
     """Read a CSV written by :func:`save_correction_log`."""
     records: list[CorrectionRecord] = []
+    first_line: dict[int, int] = {}  # index -> line that listed it
     with io.StringIO(read_ascii(path), newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -290,7 +291,18 @@ def load_correction_log(path) -> list[CorrectionRecord]:
                 raise FormatError(f"line {lineno}: zone {rec.zone} cannot take action {rec.action}")
             if not (0.0 <= rec.p_correct <= 1.0 and -1.0 <= rec.d_max <= 1.0):
                 raise FormatError(f"line {lineno}: p_correct or d_max out of range")
+            # repartition corrects exactly when the labels differ, except
+            # in the ring, where a differing label may also be retained
+            if rec.action == "corrected" and rec.proto_label == rec.prior_label:
+                raise FormatError(f"line {lineno}: corrected row keeps its label {rec.prior_label}")
+            if (rec.zone, rec.action) == ("small", "retained") and rec.proto_label != rec.prior_label:
+                raise FormatError(f"line {lineno}: small-circle row retains a label "
+                                  f"that differs from its prototype's")
             if rec.index < 0:
                 raise FormatError(f"line {lineno}: negative index")
+            if rec.index in first_line:
+                raise FormatError(f"line {lineno}: index {rec.index} repeats line "
+                                  f"{first_line[rec.index]}")
+            first_line[rec.index] = lineno
             records.append(rec)
     return records

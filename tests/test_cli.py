@@ -380,7 +380,7 @@ def synthetic_small_circle_log(ds, corrected, right):
 
 class TestStats:
     def test_prints_table_two_headline_number(self, tmp_path, capsys):
-        ds = three_class_dataset()
+        ds = three_class_dataset(n_per=1901)  # one sample per log row: a log lists each once
         log = synthetic_small_circle_log(ds, corrected=5703, right=5416)
         log_path, data_path = tmp_path / "log.csv", tmp_path / "d.ds"
         save_correction_log(log, ds, log_path)
@@ -410,6 +410,25 @@ class TestStats:
         code = main(["stats", "--log", str(log_path), "--data", str(data_path)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, message", [
+        # index 1 again: a repartition log lists each unconfident sample once
+        ("1,0.95,0,2,small,corrected,1.0,0", "line 5: index 1 repeats line 3"),
+        ("4,0.95,2,2,small,corrected,1.0,1", "line 5: corrected row keeps its label 2"),
+        ("4,0.95,0,2,small,retained,1.0,1", "line 5: small-circle row retains"),
+        ("99999999,0.1,0,2,outside,unmoved,0.0,1", "index 99999999 outside dataset of 12"),
+    ], ids=["repeated-index", "corrected-keeps-label", "small-retains-differing",
+            "outside-index-out-of-range"])
+    def test_impossible_log_row_exits_two(self, tmp_path, capsys, row, message):
+        ds = three_class_dataset()
+        log = synthetic_small_circle_log(ds, corrected=3, right=2)
+        log_path, data_path = tmp_path / "log.csv", tmp_path / "d.ds"
+        save_correction_log(log, ds, log_path)
+        save_dataset(ds, data_path)
+        log_path.write_text(log_path.read_text() + row + "\n")
+        code = main(["stats", "--log", str(log_path), "--data", str(data_path)])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_corrupt_log_exits_two(self, tmp_path, capsys):
         ds = three_class_dataset()

@@ -558,3 +558,69 @@ class TestCorrectionLogCsv:
         )
         with pytest.raises(FormatError):
             load_correction_log(path)
+
+    @staticmethod
+    def _written_log(tmp_path):
+        """A repartition log on disk holding small, ring and outside rows, and its dataset."""
+        net, ds = small_noisy_setup(seed=45)
+        part = split_by_agreement(net, ds)
+        _, log = repartition(net, ds, part, Thresholds(0.95, 0.5),
+                             np.random.default_rng([45, 2, 0]))
+        path = tmp_path / "log.csv"
+        save_correction_log(log, ds, path)
+        return path, ds
+
+    @staticmethod
+    def _edit_first(path, zone, action, edit) -> int:
+        """Apply ``edit`` to the fields of the first row in (zone, action); its line number."""
+        lines = path.read_text().splitlines()
+        for lineno, line in enumerate(lines[1:], start=2):
+            fields = line.split(",")
+            if fields[4:6] == [zone, action]:
+                lines[lineno - 1] = ",".join(edit(fields))
+                path.write_text("\n".join(lines) + "\n")
+                return lineno
+        raise AssertionError(f"no {zone},{action} row")
+
+    def test_repeated_index_rejected(self, tmp_path):
+        path, _ = self._written_log(tmp_path)
+        lines = path.read_text().splitlines()
+        first = next(n for n, line in enumerate(lines, start=1) if ",small,corrected," in line)
+        path.write_text("\n".join(lines + [lines[first - 1]]) + "\n")
+        index = lines[first - 1].split(",")[0]
+        with pytest.raises(FormatError,
+                           match=f"line {len(lines) + 1}: index {index} repeats line {first}$"):
+            load_correction_log(path)
+
+    @pytest.mark.parametrize("zone, action, edit, message", [
+        # a correction that leaves the label as it was
+        ("small", "corrected", lambda f: f[:3] + [f[2]] + f[4:], "corrected row keeps"),
+        ("ring", "corrected", lambda f: f[:3] + [f[2]] + f[4:], "corrected row keeps"),
+        # the small circle corrects every label that differs
+        ("small", "corrected", lambda f: f[:5] + ["retained"] + f[6:], "small-circle row retains"),
+    ], ids=["small-keeps-label", "ring-keeps-label", "small-retains-differing"])
+    def test_labels_contradicting_the_action_rejected(self, tmp_path, zone, action, edit,
+                                                      message):
+        path, _ = self._written_log(tmp_path)
+        lineno = self._edit_first(path, zone, action, edit)
+        with pytest.raises(FormatError, match=f"line {lineno}: {message}"):
+            load_correction_log(path)
+
+    def test_consistent_labels_accepted(self, tmp_path):
+        path, ds = self._written_log(tmp_path)
+        # a ring row may retain a differing label; a small one may retain a matching one
+        self._edit_first(path, "small", "corrected",
+                         lambda f: f[:3] + [f[2]] + ["small", "retained"] + f[6:])
+        log = load_correction_log(path)
+        assert any(r.zone == "ring" and r.action == "retained"
+                   and r.proto_label != r.prior_label for r in log)
+        assert correction_stats(log, ds).unconfident_size == len(log)
+
+    @pytest.mark.parametrize("zone, action", [
+        ("outside", "unmoved"), ("ring", "retained"), ("small", "corrected")])
+    def test_every_index_range_checked(self, tmp_path, zone, action):
+        path, ds = self._written_log(tmp_path)
+        self._edit_first(path, zone, action, lambda f: ["99999999"] + f[1:])
+        log = load_correction_log(path)  # the dataset's size is not known here
+        with pytest.raises(FormatError, match="index 99999999 outside dataset of 30"):
+            correction_stats(log, ds)
