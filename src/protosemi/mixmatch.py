@@ -1,7 +1,8 @@
 """Semi-supervised training over a labeled/unlabeled split.
 
-Each unlabeled batch receives a guessed label distribution (mean
-softmax over a few jittered copies, sharpened by temperature), then
+Each distinct row of an unlabeled batch receives one guessed label
+distribution (mean softmax over a few jittered copies, sharpened by
+temperature), shared by every occurrence of that row in the batch; then
 labeled and unlabeled batches are mixed against a shared shuffled pool
 of both.  The loss is soft-target cross-entropy on the mixed labeled
 batch plus a weighted squared error between predicted and guessed
@@ -109,8 +110,10 @@ def guess_labels(net: Network, u: np.ndarray, k_aug: int, temperature: float,
 
     Averages the softmax outputs of k_aug jittered copies of u, then
     sharpens the average.  Accepts a single (D,) vector or a (B, D)
-    batch.  All copies are jittered by one bulk draw, which gives the
-    same values as one draw per copy in order, and share one forward pass.
+    batch, and guesses every row it is given: callers that hold repeated
+    rows pass each distinct row once (``semi_train_epoch`` does).  All
+    copies are jittered by one bulk draw, which gives the same values as
+    one draw per copy in order, and share one forward pass.
     """
     if int(k_aug) != k_aug or k_aug < 1:
         raise ParameterError(f"k_aug must be an integer >= 1, got {k_aug}")
@@ -193,8 +196,11 @@ def semi_train_epoch(net: Network, confident_view, unconfident_view,
     is a feature array (possibly empty), treated as unlabeled.  Labeled
     batches follow the same shuffle stream as plain supervised training;
     each is paired with an equal-size unlabeled batch cycled from a
-    shuffled unlabeled order.  Returns (labeled loss, unlabeled loss),
-    both measured before the updates of their batch.
+    shuffled unlabeled order.  A pool smaller than the batch repeats its
+    rows within the batch: each distinct row gets one label guess, which
+    all its occurrences share, while every occurrence gets its own jitter.
+    Returns (labeled loss, unlabeled loss), both measured before the
+    updates of their batch.
 
     When the ramped unlabeled weight is zero the unlabeled pathway is
     skipped entirely, so with aug_sigma = 0 and a Beta draw of exactly
@@ -241,8 +247,11 @@ def semi_train_epoch(net: Network, confident_view, unconfident_view,
         if use_unlabeled:
             take = u_order[np.arange(start, stop) % u_order.size]
             xt = xu[take]
-            qb = guess_labels(net, xt, semi_config.k_aug,
-                              semi_config.temperature, sigma, rng)
+            # take repeats with period pool size, so its first d rows are the
+            # batch's distinct rows: guess each once, share it by position
+            d = min(b, u_order.size)
+            qb = guess_labels(net, xt[:d], semi_config.k_aug,
+                              semi_config.temperature, sigma, rng)[np.arange(b) % d]
             ub = augment(xt, sigma, rng)
             pool_x = np.concatenate([xb, ub])
             pool_p = np.concatenate([pb, qb])

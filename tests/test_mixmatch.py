@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from protosemi import mixmatch
 from protosemi.errors import ParameterError
 from protosemi.mixmatch import (
     SemiConfig,
@@ -387,6 +388,42 @@ class TestSemiTrainEpoch:
         with pytest.raises(ParameterError):
             semi_train_epoch(net, (xl, yl), xu, SemiConfig(), config, 2)
 
+    @pytest.mark.parametrize("n_unlabeled", [1, 8, 9])  # one row, batch_size, batch_size + 1
+    def test_each_pool_row_is_guessed_once_per_batch(self, monkeypatch, n_unlabeled):
+        batch_size, epoch = 8, 1  # epoch 1 of 2: the unlabeled weight is on
+        xl, yl, xu = toy_views(seed=6, n_labeled=26, n_unlabeled=n_unlabeled)
+        config = TrainConfig(base_lr=0.05, total_epochs=2, batch_size=batch_size, seed=3)
+        guessed, targets = [], []
+        real_guess, real_mixup = mixmatch.guess_labels, mixmatch.mixup
+
+        def spy_guess(net, u, *args):
+            q = real_guess(net, u, *args)
+            guessed.append((u.copy(), q))
+            return q
+
+        def spy_mixup(x1, p1, *args):
+            targets.append(p1.copy())
+            return real_mixup(x1, p1, *args)
+
+        monkeypatch.setattr(mixmatch, "guess_labels", spy_guess)
+        monkeypatch.setattr(mixmatch, "mixup", spy_mixup)
+        semi_train_epoch(init_network([4, 6, 2], seed=0), (xl, yl), xu,
+                         SemiConfig(lambda_u=1.0, aug_sigma=0.1), config, epoch)
+
+        # the unlabeled order is the epoch's first mix draw; batches cycle it
+        u_order = mix_rng(config.seed, epoch).permutation(n_unlabeled)
+        starts = range(0, len(xl), batch_size)
+        assert len(guessed) == len(targets) == len(starts)
+        for start, (u, q), p1 in zip(starts, guessed, targets):
+            b = min(batch_size, len(xl) - start)
+            take = u_order[np.arange(start, start + b) % n_unlabeled].tolist()
+            assert len(u) == min(b, n_unlabeled)
+            rows = [int(np.flatnonzero((xu == row).all(axis=1))[0]) for row in u]
+            assert sorted(rows) == sorted(set(take))
+            # every occurrence of a pool row carries that row's one guess
+            for i, row in enumerate(take):
+                assert p1[b + i].tobytes() == q[rows.index(row)].tobytes()
+
 
 def _two_mixup_epoch(net, confident_view, xu, semi, config, epoch):
     """The semi epoch with one mixup for the labeled batch and one for the
@@ -411,7 +448,10 @@ def _two_mixup_epoch(net, confident_view, xu, semi, config, epoch):
         if use_unlabeled:
             take = u_order[np.arange(u_offset, u_offset + len(idx)) % u_order.size]
             u_offset += len(idx)
-            qb = guess_labels(net, xu[take], semi.k_aug, semi.temperature, sigma, rng)
+            # one guess per distinct pool row, shared by its occurrences
+            d = min(len(idx), u_order.size)
+            guesses = guess_labels(net, xu[take[:d]], semi.k_aug, semi.temperature, sigma, rng)
+            qb = np.stack([guesses[i % d] for i in range(len(idx))])
             ub = augment(xu[take], sigma, rng)
             pool_x = np.concatenate([xb, ub])
             pool_p = np.concatenate([pb, qb])
