@@ -28,8 +28,6 @@ from .net import (
 
 _MIX_STREAM = 1  # rng stream tag; batch shuffling owns stream 0
 
-_SIMPLEX_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class SemiConfig:
@@ -42,7 +40,7 @@ class SemiConfig:
     aug_sigma: float = 0.1
 
     def __post_init__(self):
-        if int(self.k_aug) != self.k_aug or self.k_aug < 1:
+        if not isinstance(self.k_aug, (int, np.integer)) or self.k_aug < 1:
             raise ParameterError(f"k_aug must be an integer >= 1, got {self.k_aug}")
         if not 0 < self.temperature < np.inf:
             raise ParameterError(f"temperature must be finite and positive, got {self.temperature}")
@@ -60,43 +58,24 @@ def mix_rng(seed: int, epoch: int) -> np.random.Generator:
 
 
 def augment(x: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Gaussian feature jitter: x + sigma * g.
+    """Gaussian feature jitter: x + sigma * g, for a float64 array of rows.
 
     The Gaussian is drawn even when sigma is 0 so the rng stream
     advances identically regardless of the jitter scale.
     """
-    if sigma < 0:
-        raise ParameterError(f"sigma must be nonnegative, got {sigma}")
-    x = np.asarray(x, dtype=np.float64)
     jitter = rng.standard_normal(x.shape)
     jitter *= sigma
     jitter += x
     return jitter
 
 
-def _check_simplex(p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    rows = np.atleast_2d(p)
-    if np.any(rows < 0):
-        raise ParameterError("distribution has negative entries")
-    sums = rows.sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > _SIMPLEX_TOL):
-        raise ParameterError("distribution rows must sum to 1")
-    return p
-
-
 def sharpen(p: np.ndarray, temperature: float) -> np.ndarray:
     """Temperature-powered renormalization toward one-hot.
 
-    Accepts a (K,) distribution or a (B, K) stack of them; each row is
-    raised to the power 1/T and renormalized.
+    Each row of a (B, K) stack of distributions is raised to the power
+    1/T and renormalized.  The rows are not checked: ``guess_labels``
+    passes mean softmax rows, and ``SemiConfig`` validated T.
     """
-    if not temperature > 0:
-        raise ParameterError(f"temperature must be positive, got {temperature}")
-    return _sharpen(_check_simplex(p), temperature)
-
-
-def _sharpen(p: np.ndarray, temperature: float) -> np.ndarray:
     if temperature == 1.0:
         return p.copy()
     powered = p ** (1.0 / temperature)
@@ -106,47 +85,30 @@ def _sharpen(p: np.ndarray, temperature: float) -> np.ndarray:
 
 def guess_labels(net: Network, u: np.ndarray, k_aug: int, temperature: float,
                  sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Guessed label distribution(s) for unlabeled input(s).
+    """Guessed label distributions for a (B, D) batch of unlabeled rows.
 
     Averages the softmax outputs of k_aug jittered copies of u, then
-    sharpens the average.  Accepts a single (D,) vector or a (B, D)
-    batch, and guesses every row it is given: callers that hold repeated
-    rows pass each distinct row once (``semi_train_epoch`` does).  All
-    copies are jittered by one bulk draw, which gives the same values as
-    one draw per copy in order, and share one forward pass.
+    sharpens the average.  Every row given is guessed: callers that hold
+    repeated rows pass each distinct row once (``semi_train_epoch``
+    does).  All copies are jittered by one bulk draw, which gives the
+    same values as one draw per copy in order, and share one forward
+    pass.  k_aug, temperature and sigma come from a validated
+    ``SemiConfig``.
     """
-    if int(k_aug) != k_aug or k_aug < 1:
-        raise ParameterError(f"k_aug must be an integer >= 1, got {k_aug}")
-    if not temperature > 0:
-        raise ParameterError(f"temperature must be positive, got {temperature}")
-    u = np.asarray(u, dtype=np.float64)
-    k = int(k_aug)
-    copies = augment(np.broadcast_to(u, (k, *u.shape)), sigma, rng)
+    copies = augment(np.broadcast_to(u, (k_aug, *u.shape)), sigma, rng)
     # stacked as (k, B, D), each copy gets the matrix products it would get
     # alone; flattened (k*B, D) rows round differently when B is 1
-    probs = softmax(net.forward(copies.reshape(k, -1, u.shape[-1])))
-    # a mean of softmax rows is a distribution: no simplex check needed
-    return _sharpen(probs.mean(axis=0).reshape(*u.shape[:-1], -1), temperature)
+    return sharpen(softmax(net.forward(copies)).mean(axis=0), temperature)
 
 
 def mixup(x1: np.ndarray, p1: np.ndarray, x2: np.ndarray, p2: np.ndarray,
           mix_alpha: float, rng: np.random.Generator):
-    """Convex combination of two samples and their label distributions.
+    """Convex combination of two (B, D) batches and their label rows.
 
-    lambda ~ Beta(mix_alpha, mix_alpha) is folded to max(lambda,
-    1-lambda) so the result stays biased toward the first argument.
-    Batch inputs draw one lambda per row.
+    One lambda ~ Beta(mix_alpha, mix_alpha) is drawn per row and folded
+    to max(lambda, 1-lambda), so each result stays biased toward the
+    first argument.  mix_alpha comes from a validated ``SemiConfig``.
     """
-    if not mix_alpha > 0:
-        raise ParameterError(f"mix_alpha must be positive, got {mix_alpha}")
-    x1 = np.asarray(x1, dtype=np.float64)
-    x2 = np.asarray(x2, dtype=np.float64)
-    p1 = np.asarray(p1, dtype=np.float64)
-    p2 = np.asarray(p2, dtype=np.float64)
-    if x1.ndim == 1:
-        lam = rng.beta(mix_alpha, mix_alpha)
-        lam = max(lam, 1.0 - lam)
-        return lam * x1 + (1.0 - lam) * x2, lam * p1 + (1.0 - lam) * p2
     lam = rng.beta(mix_alpha, mix_alpha, size=x1.shape[0])
     lam = np.maximum(lam, 1.0 - lam)[:, None]
     rest = 1.0 - lam
@@ -192,8 +154,10 @@ def semi_train_epoch(net: Network, confident_view, unconfident_view,
                      epoch: int):
     """One epoch of mixed labeled + unlabeled SGD; updates net in place.
 
-    ``confident_view`` is a (features, labels) pair; ``unconfident_view``
-    is a feature array (possibly empty), treated as unlabeled.  Labeled
+    ``confident_view`` is a (features, labels) pair of an (n, D) float64
+    array and n labels; ``unconfident_view`` is an (m, D) float64 array,
+    m possibly 0, treated as unlabeled.  ``semi_config`` is trusted: the
+    per-batch steps do not re-check its values.  Labeled
     batches follow the same shuffle stream as plain supervised training;
     each is paired with an equal-size unlabeled batch cycled from a
     shuffled unlabeled order.  A pool smaller than the batch repeats its
@@ -207,17 +171,11 @@ def semi_train_epoch(net: Network, confident_view, unconfident_view,
     1 the epoch degenerates to plain supervised training.
     """
     xl, yl = confident_view
-    xl = np.asarray(xl, dtype=np.float64)
-    yl = np.asarray(yl, dtype=np.int64)
+    xu = unconfident_view
     if xl.ndim != 2 or xl.shape[0] == 0:
         raise ParameterError("confident view must be a nonempty 2-D batch")
     if xl.shape[0] != yl.shape[0]:
         raise ParameterError("confident features and labels must align")
-    xu = np.asarray(unconfident_view, dtype=np.float64)
-    if xu.size == 0:
-        xu = xu.reshape(0, xl.shape[1])
-    else:
-        xu = np.atleast_2d(xu)
     if epoch >= train_config.total_epochs:
         raise ParameterError("epoch must be below total_epochs")
 

@@ -86,10 +86,7 @@ class Network:
         return acts, logits
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Logits for one (D,) input or a (B, D) batch."""
-        x = self._check_input(x)
-        if x.ndim == 1:
-            return self.activations(x[None, :])[1][0]
+        """Logits for a (B, D) batch, or for a (k, B, D) stack of them."""
         return self.activations(x)[1]
 
     def embed(self, x: np.ndarray) -> np.ndarray:

@@ -317,6 +317,8 @@ class TestConfigFile:
     @pytest.mark.parametrize("key, value", [
         ("base_lr", "nan"), ("weight_decay", "nan"), ("temperature", "inf"),
         ("mix_alpha", "inf"), ("lambda_u", "nan"), ("aug_sigma", "inf"),
+        # the semi kernels do not re-check these: SemiConfig is the one gate
+        ("temperature", "0"), ("mix_alpha", "0"), ("aug_sigma", "-0.1"),
     ])
     def test_non_finite_value_exits_two(self, dataset_files, tmp_path, capsys, key, value):
         train, heldout = dataset_files

@@ -1,10 +1,13 @@
 """Source hygiene: no module imports a name it never uses.
 
 Checked: the package, the tests and the demos.  The package root is
-exempt, since its imports are its re-exports.
+exempt, since its imports are its re-exports.  Also checked: the test
+settings let the session go on past a failing property test.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +40,33 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(module):
     assert unused_imports(module.read_text()) == []
+
+
+FAILING_PROPERTY_THEN_PASSING = """\
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+
+@given(st.integers())
+@settings(max_examples=5, database=None)
+def test_fails(n):
+    assert n != n
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_test_does_not_end_the_session(tmp_path):
+    # hypothesis reports a failure through an import that warns; the
+    # warnings-as-errors setting must not turn that into an internal error
+    path = tmp_path / "test_two.py"
+    path.write_text(FAILING_PROPERTY_THEN_PASSING)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(REPO / "pyproject.toml"), "--rootdir", str(tmp_path), str(path)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout

@@ -42,9 +42,7 @@ class FixedLambda:
     def __init__(self, value):
         self.value = value
 
-    def beta(self, a, b, size=None):
-        if size is None:
-            return self.value
+    def beta(self, a, b, size):
         return np.full(size, self.value)
 
 
@@ -56,6 +54,9 @@ class TestSemiConfig:
     @pytest.mark.parametrize("bad", [
         dict(k_aug=0), dict(k_aug=1.5), dict(temperature=0.0),
         dict(mix_alpha=0.0), dict(lambda_u=-0.1), dict(aug_sigma=-1.0),
+        # a float count would reach the report header as "2.0", which
+        # parse_report rejects
+        dict(k_aug=2.0),
     ])
     def test_invalid(self, bad):
         with pytest.raises(ParameterError):
@@ -89,10 +90,6 @@ class TestAugment:
         var = draws.var(axis=0)
         assert np.all(np.abs(var - 1.0) < 0.05)
 
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ParameterError):
-            augment(np.zeros(2), -0.1, np.random.default_rng(0))
-
 
 class TestSharpen:
     def test_uniform_fixed_point(self):
@@ -119,14 +116,6 @@ class TestSharpen:
         assert out[0] == pytest.approx(np.array(SHARPEN_08_02_T05), abs=1e-12)
         assert out[1] == pytest.approx(np.array([0.5, 0.5]), abs=1e-12)
 
-    def test_invalid_inputs(self):
-        with pytest.raises(ParameterError):
-            sharpen(np.array([0.7, 0.2]), 0.5)  # sums to 0.9
-        with pytest.raises(ParameterError):
-            sharpen(np.array([1.1, -0.1]), 0.5)
-        with pytest.raises(ParameterError):
-            sharpen(np.array([0.5, 0.5]), 0.0)
-
     @given(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=2, max_size=6),
            st.floats(min_value=0.05, max_value=5.0))
     @example(weights=[0.01, 0.010000000000000002], temperature=4.0)
@@ -146,7 +135,7 @@ class TestSharpen:
 class TestGuessLabels:
     def test_single_copy_no_jitter_unit_temperature(self):
         net = init_network([3, 5, 4], seed=1)
-        u = np.array([0.4, -0.2, 1.0])
+        u = np.array([[0.4, -0.2, 1.0]])
         guess = guess_labels(net, u, 1, 1.0, 0.0, np.random.default_rng(0))
         assert np.array_equal(guess, softmax(net.forward(u)))
 
@@ -154,30 +143,32 @@ class TestGuessLabels:
         bias = np.array([0.2, 1.5, -0.3])
         net = Network([2, 2, 3], [np.zeros((2, 2)), np.zeros((2, 3))],
                       [np.zeros(2), bias])
-        g1 = guess_labels(net, np.array([9.0, -9.0]), 1, 0.5, 1.0,
+        g1 = guess_labels(net, np.array([[9.0, -9.0]]), 1, 0.5, 1.0,
                           np.random.default_rng(1))
-        g2 = guess_labels(net, np.array([0.0, 0.1]), 4, 0.5, 1.0,
+        g2 = guess_labels(net, np.array([[0.0, 0.1]]), 4, 0.5, 1.0,
                           np.random.default_rng(2))
+        assert g1.shape == (1, 3)
         assert np.array_equal(g1, g2)
 
     def test_matches_replay_oracle(self):
         net = init_network([4, 6, 3], seed=9)
-        u = np.array([0.3, 0.1, -0.5, 0.8])
+        u = np.array([[0.3, 0.1, -0.5, 0.8]])
         got = guess_labels(net, u, 4, 0.5, 0.2, np.random.default_rng(77))
         rng = np.random.default_rng(77)
         acc = None
         for _ in range(4):
             jittered = u + 0.2 * rng.standard_normal(u.shape)
-            logits = net.forward(jittered)
+            logits = net.forward(jittered)[0]
             e = np.exp(logits - logits.max())
             p = e / e.sum()
             acc = p if acc is None else acc + p
         mean = acc / 4
         powered = mean ** 2.0
         expected = powered / powered.sum()
-        assert got == pytest.approx(expected, abs=1e-12)
+        assert got.shape == (1, 3)
+        assert got[0] == pytest.approx(expected, abs=1e-12)
 
-    @pytest.mark.parametrize("shape", [(16,), (1, 16), (2, 16), (7, 16)])
+    @pytest.mark.parametrize("shape", [(1, 16), (2, 16), (7, 16)])
     @pytest.mark.parametrize("k_aug", [1, 2, 3])
     def test_bit_equal_to_one_forward_per_copy(self, shape, k_aug):
         # one-row batches take a different BLAS path from many-row ones
@@ -199,32 +190,48 @@ class TestGuessLabels:
         assert guesses.shape == (7, 5)
         assert np.allclose(guesses.sum(axis=1), 1.0, atol=1e-9)
 
-    def test_bad_k_aug(self):
-        net = init_network([2, 3, 2], seed=0)
-        with pytest.raises(ParameterError):
-            guess_labels(net, np.zeros(2), 0, 0.5, 0.1, np.random.default_rng(0))
+    def test_sharpens_the_mean_softmax_through_the_module_name(self, monkeypatch):
+        # the tracer times sharpening by wrapping mixmatch.sharpen, so
+        # guess_labels must look that name up, once per call
+        net = init_network([3, 5, 4], seed=2)
+        u = np.random.default_rng(1).standard_normal((3, 3))
+        calls = []
+        real_sharpen = mixmatch.sharpen
+
+        def spy_sharpen(p, temperature):
+            calls.append((p.copy(), temperature))
+            return real_sharpen(p, temperature)
+
+        monkeypatch.setattr(mixmatch, "sharpen", spy_sharpen)
+        rng = np.random.default_rng(4)
+        got = guess_labels(net, u, 2, 0.5, 0.3, rng)
+        rng = np.random.default_rng(4)
+        mean = softmax(net.forward(u + 0.3 * rng.standard_normal((2, 3, 3)))).mean(axis=0)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0][0], mean) and calls[0][1] == 0.5
+        assert np.array_equal(got, real_sharpen(mean, 0.5))
 
 
 class TestMixup:
     def test_lambda_one_returns_first_exactly(self):
-        x1, x2 = np.array([1.0, 2.0]), np.array([-5.0, 7.0])
-        p1, p2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        x1, x2 = np.array([[1.0, 2.0]]), np.array([[-5.0, 7.0]])
+        p1, p2 = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
         xm, pm = mixup(x1, p1, x2, p2, 0.75, FixedLambda(1.0))
         assert np.array_equal(xm, x1) and np.array_equal(pm, p1)
 
     def test_lambda_half_returns_midpoints(self):
-        x1, x2 = np.array([2.0, 0.0]), np.array([0.0, 4.0])
-        p1, p2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        x1, x2 = np.array([[2.0, 0.0]]), np.array([[0.0, 4.0]])
+        p1, p2 = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
         xm, pm = mixup(x1, p1, x2, p2, 0.75, FixedLambda(0.5))
-        assert np.array_equal(xm, np.array([1.0, 2.0]))
-        assert np.array_equal(pm, np.array([0.5, 0.5]))
+        assert np.array_equal(xm, np.array([[1.0, 2.0]]))
+        assert np.array_equal(pm, np.array([[0.5, 0.5]]))
 
     def test_low_lambda_is_folded_toward_first(self):
-        x1, x2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        p1, p2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        x1, x2 = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
+        p1, p2 = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
         xm, pm = mixup(x1, p1, x2, p2, 0.75, FixedLambda(0.2))  # lambda' = 0.8
-        assert xm == pytest.approx(np.array([0.8, 0.2]))
-        assert pm == pytest.approx(np.array([0.8, 0.2]))
+        assert xm == pytest.approx(np.array([[0.8, 0.2]]))
+        assert pm == pytest.approx(np.array([[0.8, 0.2]]))
 
     def test_batch_draws_one_lambda_per_row(self):
         rng = np.random.default_rng(11)
@@ -243,22 +250,18 @@ class TestMixup:
     @settings(max_examples=40)
     def test_convexity_and_simplex(self, seed):
         rng = np.random.default_rng(seed)
-        x1, x2 = rng.standard_normal(4), rng.standard_normal(4)
-        p1 = rng.random(3)
+        x1, x2 = rng.standard_normal((1, 4)), rng.standard_normal((1, 4))
+        p1 = rng.random((1, 3))
         p1 /= p1.sum()
-        p2 = rng.random(3)
+        p2 = rng.random((1, 3))
         p2 /= p2.sum()
         xm, pm = mixup(x1, p1, x2, p2, 0.75, rng)
+        assert xm.shape == (1, 4) and pm.shape == (1, 3)
         lo, hi = np.minimum(x1, x2), np.maximum(x1, x2)
         assert np.all(xm >= lo - 1e-12) and np.all(xm <= hi + 1e-12)
         assert abs(pm.sum() - 1.0) < 1e-12
         # folding keeps the result on the x1 side of the midpoint
         assert np.linalg.norm(xm - x1) <= np.linalg.norm(xm - x2) + 1e-12
-
-    def test_bad_alpha(self):
-        with pytest.raises(ParameterError):
-            mixup(np.zeros(2), np.array([1.0, 0.0]), np.ones(2),
-                  np.array([0.0, 1.0]), 0.0, np.random.default_rng(0))
 
 
 class TestLambdaRamp:

@@ -85,16 +85,17 @@ class TestForwardEmbed:
         dims = [3, 4, 5]
         net = Network(dims, [np.zeros((3, 4)), np.zeros((4, 5))],
                       [np.zeros(4), np.zeros(5)])
-        logits = net.forward(np.array([1.0, -2.0, 0.5]))
+        logits = net.forward(np.array([[1.0, -2.0, 0.5]]))
+        assert logits.shape == (1, 5)
         assert np.all(logits == 0.0)
-        assert softmax(logits) == pytest.approx(np.full(5, 0.2))
+        assert softmax(logits) == pytest.approx(np.full((1, 5), 0.2))
 
     def test_embed_matches_forward_hidden_state(self):
         net = init_network([4, 6, 3, 2], seed=3)
         x = np.array([0.1, 0.2, -0.3, 0.4])
         acts, logits = net.activations(x[None, :])
         assert np.array_equal(net.embed(x), acts[-1][0])
-        assert np.array_equal(net.forward(x), logits[0])
+        assert np.array_equal(net.forward(x[None, :]), logits)
 
     def test_hand_computed_two_layer_case(self):
         # scalar arithmetic done by hand, no matrix ops
@@ -106,22 +107,22 @@ class TestForwardEmbed:
         x = np.array([0.8, 0.4])
         h = math.tanh(0.8 * 0.5 + 0.4 * -0.25 + 0.1)
         expected = np.array([2.0 * h + 0.05, -1.0 * h - 0.05])
-        assert net.forward(x) == pytest.approx(expected, abs=1e-15)
+        assert net.forward(x[None, :]) == pytest.approx(expected[None, :], abs=1e-15)
         assert net.embed(x) == pytest.approx(np.array([h]), abs=1e-15)
 
     def test_dimension_mismatch(self):
         net = init_network([3, 4, 2], seed=0)
         with pytest.raises(ParameterError):
-            net.forward(np.zeros(5))
+            net.forward(np.zeros((1, 5)))
 
     def test_batch_and_single_agree(self):
         # BLAS may sum in a different order for (1,D) vs (B,D), so this
         # is a numeric agreement, not a bitwise one
         net = init_network([3, 5, 4], seed=9)
         xs = np.random.default_rng(0).standard_normal((6, 3))
-        batch_logits = net.forward(xs)
+        batch_embeddings = net.embed(xs)
         for i in range(6):
-            assert net.forward(xs[i]) == pytest.approx(batch_logits[i], rel=1e-12, abs=1e-12)
+            assert net.embed(xs[i]) == pytest.approx(batch_embeddings[i], rel=1e-12, abs=1e-12)
 
 
 def cross_entropy_of(logits, label):
