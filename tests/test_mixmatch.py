@@ -168,10 +168,11 @@ class TestGuessLabels:
         assert got.shape == (1, 3)
         assert got[0] == pytest.approx(expected, abs=1e-12)
 
-    @pytest.mark.parametrize("shape", [(1, 16), (2, 16), (7, 16)])
+    @pytest.mark.parametrize("shape", [(32, 16), (1, 16), (2, 16), (7, 16)])
     @pytest.mark.parametrize("k_aug", [1, 2, 3])
     def test_bit_equal_to_one_forward_per_copy(self, shape, k_aug):
-        # one-row batches take a different BLAS path from many-row ones
+        # one-row batches take a different BLAS path from many-row ones,
+        # and a full batch may block its matrix products differently again
         net = init_network([16, 32, 16, 4], seed=9)
         u = np.random.default_rng(3).standard_normal(shape)
         rng_got, rng_want = np.random.default_rng(77), np.random.default_rng(77)
