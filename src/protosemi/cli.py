@@ -184,10 +184,7 @@ def main(argv=None) -> int:
     except (DegenerateClassError, DegenerateGeometryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (ParameterError, FormatError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (ParameterError, FormatError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

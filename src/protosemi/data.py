@@ -78,17 +78,6 @@ class NoisyDataset:
         return NoisyDataset(self.features.copy(), self.working_labels,
                             self.true_labels, self.num_classes)
 
-    def __eq__(self, other):
-        if not isinstance(other, NoisyDataset):
-            return NotImplemented
-        return (
-            self.num_classes == other.num_classes
-            and self.features.shape == other.features.shape
-            and np.array_equal(self.features, other.features)
-            and np.array_equal(self.working_labels, other.working_labels)
-            and np.array_equal(self.true_labels, other.true_labels)
-        )
-
 
 def generate_blobs(num_classes: int, per_class: int, dim: int,
                    separation: float, spread: float, seed: int) -> NoisyDataset:

@@ -22,6 +22,7 @@ from .net import (
     cosine_lr,
     cross_entropy_grads,
     epoch_shuffle_rng,
+    is_int,
     one_hot,
     softmax,
 )
@@ -40,7 +41,7 @@ class SemiConfig:
     aug_sigma: float = 0.1
 
     def __post_init__(self):
-        if not isinstance(self.k_aug, (int, np.integer)) or self.k_aug < 1:
+        if not is_int(self.k_aug) or self.k_aug < 1:
             raise ParameterError(f"k_aug must be an integer >= 1, got {self.k_aug}")
         if not 0 < self.temperature < np.inf:
             raise ParameterError(f"temperature must be finite and positive, got {self.temperature}")
@@ -121,8 +122,6 @@ def mixup(x1: np.ndarray, p1: np.ndarray, x2: np.ndarray, p2: np.ndarray,
 
 def lambda_ramp(epoch: int, total_epochs: int) -> float:
     """Unlabeled-loss weight factor: 0 to 1 over the first quarter of training."""
-    if total_epochs < 1:
-        raise ParameterError("total_epochs must be at least 1")
     return min(1.0, 4.0 * epoch / total_epochs)
 
 
@@ -176,8 +175,6 @@ def semi_train_epoch(net: Network, confident_view, unconfident_view,
         raise ParameterError("confident view must be a nonempty 2-D batch")
     if xl.shape[0] != yl.shape[0]:
         raise ParameterError("confident features and labels must align")
-    if epoch >= train_config.total_epochs:
-        raise ParameterError("epoch must be below total_epochs")
 
     lr = cosine_lr(epoch, train_config.total_epochs, train_config.base_lr)
     lam_u = semi_config.lambda_u * lambda_ramp(epoch, train_config.total_epochs)
@@ -195,7 +192,6 @@ def semi_train_epoch(net: Network, confident_view, unconfident_view,
     pl_shuffled = one_hot(yl[perm], net.num_classes)
     labeled_total = 0.0
     unlabeled_total = 0.0
-    unlabeled_count = 0
     for start in range(0, n, train_config.batch_size):
         stop = min(start + train_config.batch_size, n)
         b = stop - start
@@ -226,13 +222,10 @@ def semi_train_epoch(net: Network, confident_view, unconfident_view,
         if use_unlabeled:
             loss_u, ugrads_w, ugrads_b = brier_grads(net, mixed_x[b:], mixed_p[b:])
             unlabeled_total += loss_u * b
-            unlabeled_count += b
             for g, ug in zip(grads_w + grads_b, ugrads_w + ugrads_b):
                 ug *= lam_u
                 g += ug
 
         net.sgd_step(grads_w, grads_b, lr, train_config.weight_decay)
 
-    loss_labeled = labeled_total / n
-    loss_unlabeled = unlabeled_total / unlabeled_count if unlabeled_count else 0.0
-    return loss_labeled, loss_unlabeled
+    return labeled_total / n, unlabeled_total / n if use_unlabeled else 0.0

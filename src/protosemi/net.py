@@ -18,6 +18,11 @@ from .errors import ParameterError
 _SHUFFLE_STREAM = 0  # rng stream tag for per-epoch batch shuffling
 
 
+def is_int(value) -> bool:
+    """True for Python and numpy integers; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass
 class TrainConfig:
     """Supervised SGD settings; the learning rate follows a cosine decay."""
@@ -29,12 +34,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # numpy seeds its generators only from nonnegative integers
+        for name, low in (("total_epochs", 1), ("batch_size", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not is_int(value) or value < low:
+                raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+            setattr(self, name, int(value))
         if not 0 <= self.base_lr < math.inf:
             raise ParameterError("base_lr must be finite and nonnegative")
-        if self.total_epochs < 1:
-            raise ParameterError("total_epochs must be at least 1")
-        if self.batch_size < 1:
-            raise ParameterError("batch_size must be at least 1")
         if not 0 <= self.weight_decay < math.inf:
             raise ParameterError("weight_decay must be finite and nonnegative")
 
@@ -59,21 +66,17 @@ class Network:
     def embed_dim(self) -> int:
         return self.layer_dims[-2]
 
-    def _check_input(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != self.input_dim:
-            raise ParameterError(
-                f"input dimension {x.shape[-1]} does not match network input {self.input_dim}"
-            )
-        return x
-
     def activations(self, batch: np.ndarray):
         """Forward a (B, D) batch; returns (activation list, logits).
 
         The list holds the input followed by every post-tanh hidden
         output, which is exactly what backprop needs to cache.
         """
-        a = self._check_input(np.atleast_2d(batch))
+        a = np.asarray(np.atleast_2d(batch), dtype=np.float64)
+        if a.shape[-1] != self.input_dim:
+            raise ParameterError(
+                f"input dimension {a.shape[-1]} does not match network input {self.input_dim}"
+            )
         acts = [a]
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
             # in place on the fresh product: the bits of np.tanh(a @ w + b)
@@ -91,10 +94,8 @@ class Network:
 
     def embed(self, x: np.ndarray) -> np.ndarray:
         """Last hidden activation for one (D,) input or a (B, D) batch."""
-        x = self._check_input(x)
-        single = x.ndim == 1
-        acts, _ = self.activations(np.atleast_2d(x))
-        return acts[-1][0] if single else acts[-1]
+        hidden = self.activations(x)[0][-1]
+        return hidden[0] if np.ndim(x) == 1 else hidden
 
     def backprop(self, acts, logit_grad):
         """Gradients of a scalar loss given d(loss)/d(logits)."""
@@ -207,11 +208,9 @@ def cross_entropy_grads(net: Network, batch: np.ndarray, targets: np.ndarray):
 
 
 def cosine_lr(epoch: int, total: int, base_lr: float) -> float:
-    """Cosine decay from base_lr at epoch 0 to 0 at epoch == total."""
-    if total < 1:
-        raise ParameterError("total must be at least 1")
-    if not 0 <= epoch <= total:
-        raise ParameterError(f"epoch {epoch} outside [0, {total}]")
+    """Cosine decay from base_lr at epoch 0; the one gate of the epoch range [0, total)."""
+    if not 0 <= epoch < total:
+        raise ParameterError(f"epoch {epoch} outside [0, {total})")
     return base_lr * (1.0 + math.cos(math.pi * epoch / total)) / 2.0
 
 
@@ -233,8 +232,6 @@ def train_epoch(net: Network, features: np.ndarray, labels: np.ndarray,
     n = features.shape[0]
     if n == 0:
         raise ParameterError("training view must be nonempty")
-    if epoch_index >= config.total_epochs:
-        raise ParameterError("epoch_index must be below total_epochs")
     lr = cosine_lr(epoch_index, config.total_epochs, config.base_lr)
     perm = epoch_shuffle_rng(config.seed, epoch_index).permutation(n)
     # one gather per epoch; each batch is a slice of it

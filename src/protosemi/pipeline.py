@@ -22,7 +22,7 @@ import numpy as np
 from .data import NoisyDataset, read_ascii
 from .errors import DegenerateClassError, FormatError, ParameterError
 from .mixmatch import SemiConfig, semi_train_epoch
-from .net import Network, TrainConfig, init_network, train_epoch
+from .net import Network, TrainConfig, init_network, is_int, train_epoch
 from .select import (
     CorrectionRecord,
     StatsRow,
@@ -56,10 +56,18 @@ class ConfigField(NamedTuple):
     part: str | None = None  # None: PipelineConfig itself; else thresholds, train or semi
 
     def text(self, value) -> str:
-        """Config-file text of a value; floats round-trip through repr."""
+        """Config-file text of a normalized value; the str of a float is its repr."""
+        return ",".join(map(str, value)) if self.parse is _parse_dims else str(value)
+
+    def normal(self, value):
+        """``value`` as its config-file text parses; float keys take integers, no key a bool."""
         if self.parse is _parse_dims:
-            return ",".join(str(d) for d in value)
-        return repr(value) if self.parse is float else str(value)
+            ok = isinstance(value, (tuple, list)) and all(map(is_int, value))
+        else:
+            ok = is_int(value) or self.parse is float and isinstance(value, (float, np.floating))
+        if not ok:
+            raise ParameterError(f"{self.key} has the wrong type: {value!r}")
+        return tuple(map(int, value)) if self.parse is _parse_dims else self.parse(value)
 
     def read(self, values: dict, source):
         """This key's value parsed from config-file text; unparsable is a FormatError."""
@@ -95,10 +103,10 @@ CONFIG_FIELDS = (
 class PipelineConfig:
     """Full recipe for one run.
 
-    The nested TrainConfig is normalized on construction: its seed is
-    replaced by the pipeline seed and its total_epochs by
-    warmup_epochs + main_epochs, so one seed and one learning-rate
-    schedule govern the whole run.
+    Construction turns each config key into what its config-file text
+    parses to, so the run's report reads back, and pins the nested
+    TrainConfig's seed to the pipeline seed and its total_epochs to
+    warmup_epochs + main_epochs: one seed and one schedule govern the run.
     """
 
     hidden_dims: tuple
@@ -111,10 +119,11 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.hidden_dims)
-        if len(dims) < 1 or any(d < 1 for d in dims):
+        for f in CONFIG_FIELDS:
+            if f.part is None:
+                object.__setattr__(self, f.key, f.normal(getattr(self, f.key)))
+        if len(self.hidden_dims) < 1 or min(self.hidden_dims) < 1:
             raise ParameterError(f"hidden_dims must be positive ints, got {self.hidden_dims}")
-        object.__setattr__(self, "hidden_dims", dims)
         if self.warmup_epochs < 1:
             raise ParameterError("warmup_epochs must be at least 1")
         if self.main_epochs < 0:
@@ -124,13 +133,13 @@ class PipelineConfig:
                 f"proto_split_epochs must lie in [0, main_epochs], got "
                 f"{self.proto_split_epochs} with main_epochs={self.main_epochs}"
             )
-        if not isinstance(self.thresholds, Thresholds):
-            raise ParameterError("thresholds must be a Thresholds instance")
-        object.__setattr__(self, "train", dataclasses.replace(
-            self.train,
-            total_epochs=self.total_epochs,
-            seed=self.seed,
-        ))
+        pinned = {"train": {"total_epochs": self.total_epochs, "seed": self.seed}}
+        for part, kind in (("thresholds", Thresholds), ("train", TrainConfig), ("semi", SemiConfig)):
+            owner = getattr(self, part)
+            if not isinstance(owner, kind):
+                raise ParameterError(f"{part} must be a {kind.__name__} instance")
+            values = {f.key: f.normal(getattr(owner, f.key)) for f in CONFIG_FIELDS if f.part == part}
+            object.__setattr__(self, part, dataclasses.replace(owner, **values, **pinned.get(part, {})))
 
     @property
     def total_epochs(self) -> int:
@@ -236,8 +245,6 @@ def repartition_rng(seed: int, epoch: int) -> np.random.Generator:
 
 def evaluate(net: Network, heldout: NoisyDataset) -> float:
     """Fraction of held-out samples whose predicted class is the true one."""
-    if heldout.n == 0:
-        raise ParameterError("held-out set must be nonempty")
     preds = np.argmax(net.forward(heldout.features), axis=1)
     return float(np.mean(preds == heldout.true_labels))
 

@@ -76,15 +76,6 @@ class Partition:
         merged = np.concatenate([self.confident_idx, self.unconfident_idx])
         return merged.size == n and np.array_equal(np.sort(merged), np.arange(n))
 
-    def __eq__(self, other):
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return (
-            np.array_equal(self.confident_idx, other.confident_idx)
-            and np.array_equal(self.confident_labels, other.confident_labels)
-            and np.array_equal(self.unconfident_idx, other.unconfident_idx)
-        )
-
 
 @dataclass(frozen=True)
 class PrototypeMatrix:

@@ -213,6 +213,28 @@ class TestTrain:
         assert code == 2
         assert capsys.readouterr().err == f"error: {train} line 3: non-ASCII byte 0xc2\n"
 
+    def test_heldout_of_another_dimension_exits_two(self, tmp_path, capsys):
+        # a usage error: the one ParameterError a parsed config can still reach
+        for name, dim in (("t.ds", "16"), ("h.ds", "8")):
+            assert main(["gen-data", "--classes", "3", "--per-class", "10", "--dim", dim,
+                         "--out", str(tmp_path / name)]) == 0
+        report = tmp_path / "r"
+        code = main(["train", "--config", str(write_config(tmp_path / "run.cfg")),
+                     "--data", str(tmp_path / "t.ds"), "--heldout", str(tmp_path / "h.ds"),
+                     "--report", str(report)])
+        assert code == 2
+        assert "must share classes and dimension" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_negative_seed_exits_two(self, dataset_files, tmp_path, capsys):
+        train, heldout = dataset_files
+        report = tmp_path / "r"
+        code = main(["train", "--config", str(write_config(tmp_path / "run.cfg", seed="-1")),
+                     "--data", str(train), "--heldout", str(heldout), "--report", str(report)])
+        assert code == 2
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_starved_class_exits_three(self, tmp_path, capsys):
         # base_lr=0 freezes the net at init, so agreement is predictable
         # and one class can be arranged to never agree

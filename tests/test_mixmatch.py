@@ -272,10 +272,6 @@ class TestLambdaRamp:
         assert lambda_ramp(10, 40) == 1.0
         assert lambda_ramp(39, 40) == 1.0
 
-    def test_bad_total(self):
-        with pytest.raises(ParameterError):
-            lambda_ramp(0, 0)
-
 
 class TestBrierGrads:
     def test_zero_when_predictions_equal_targets(self):
@@ -391,6 +387,19 @@ class TestSemiTrainEpoch:
         net = init_network([4, 5, 2], seed=0)
         with pytest.raises(ParameterError):
             semi_train_epoch(net, (xl, yl), xu, SemiConfig(), config, 2)
+
+    @pytest.mark.parametrize("epoch", [-1, 2])  # below 0, and total_epochs
+    def test_epoch_range_is_cosine_lrs_gate(self, epoch):
+        xl, yl, xu = toy_views(seed=5)
+        config = TrainConfig(base_lr=0.05, total_epochs=2, batch_size=8, seed=0)
+        net = init_network([4, 5, 2], seed=0)
+        before = copy.deepcopy(net)
+        gate = rf"epoch {epoch} outside \[0, 2\)"
+        with pytest.raises(ParameterError, match=gate):
+            train_epoch(net, xl, yl, config, epoch)
+        with pytest.raises(ParameterError, match=gate):
+            semi_train_epoch(net, (xl, yl), xu, SemiConfig(), config, epoch)
+        assert net.params_equal(before)
 
     @pytest.mark.parametrize("n_unlabeled", [1, 8, 9])  # one row, batch_size, batch_size + 1
     def test_each_pool_row_is_guessed_once_per_batch(self, monkeypatch, n_unlabeled):

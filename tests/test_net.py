@@ -188,11 +188,10 @@ class TestGradients:
 class TestCosineLr:
     def test_endpoints_and_midpoint(self):
         assert cosine_lr(0, 10, 0.02) == 0.02
-        assert cosine_lr(10, 10, 0.02) == pytest.approx(0.0, abs=1e-17)
         assert cosine_lr(5, 10, 0.02) == pytest.approx(0.01, abs=1e-15)
 
     def test_monotone_decreasing(self):
-        values = [cosine_lr(e, 40, 0.5) for e in range(41)]
+        values = [cosine_lr(e, 40, 0.5) for e in range(40)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_range_checks(self):
@@ -200,6 +199,11 @@ class TestCosineLr:
             cosine_lr(11, 10, 0.1)
         with pytest.raises(ParameterError):
             cosine_lr(0, 0, 0.1)
+        # the range is [0, total): epoch == total trains nothing
+        with pytest.raises(ParameterError, match=r"epoch 10 outside \[0, 10\)"):
+            cosine_lr(10, 10, 0.1)
+        with pytest.raises(ParameterError):
+            cosine_lr(-1, 10, 0.1)
 
 
 class TestTrainEpoch:
@@ -273,12 +277,21 @@ class TestTrainConfig:
     @pytest.mark.parametrize("bad", [
         dict(base_lr=-0.1), dict(total_epochs=0), dict(batch_size=0),
         dict(weight_decay=-1e-9),
+        # integer knobs take integer types only; numpy seeds only from n >= 0
+        dict(batch_size=4.0), dict(total_epochs=2.0), dict(seed=1.5),
+        dict(batch_size=True), dict(seed=-1),
     ])
     def test_invalid_values(self, bad):
         kwargs = dict(base_lr=0.1, total_epochs=2, batch_size=4, weight_decay=0.0, seed=0)
         kwargs.update(bad)
         with pytest.raises(ParameterError):
             TrainConfig(**kwargs)
+
+    def test_numpy_integers_are_stored_as_int(self):
+        config = TrainConfig(base_lr=0.1, total_epochs=np.int64(2), batch_size=np.int32(4),
+                             seed=np.uint8(3))
+        assert (config.total_epochs, config.batch_size, config.seed) == (2, 4, 3)
+        assert all(type(v) is int for v in (config.total_epochs, config.batch_size, config.seed))
 
 
 @settings(max_examples=25, deadline=None)

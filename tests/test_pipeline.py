@@ -1,6 +1,8 @@
 """Orchestration: run shapes, determinism, purity, and report files."""
 
+import dataclasses
 import re
+import typing
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from protosemi.errors import DegenerateClassError, FormatError, ParameterError
 from protosemi.mixmatch import SemiConfig
 from protosemi.net import Network, TrainConfig, init_network, train_epoch
 from protosemi.pipeline import (
+    CONFIG_FIELDS,
     VARIANTS,
     CorrectionEpoch,
     PipelineConfig,
@@ -24,6 +27,7 @@ from protosemi.pipeline import (
     run_with_artifacts,
     write_report,
     write_stats_csv,
+    _parse_dims,
 )
 from protosemi.select import (
     StatsRow,
@@ -98,6 +102,41 @@ class TestPipelineConfig:
         with pytest.raises(ParameterError):
             small_config(**bad)
 
+    @pytest.mark.parametrize("overrides", [
+        dict(thresholds=Thresholds(1, 0.5)),
+        dict(train=TrainConfig(base_lr=1, total_epochs=1, batch_size=16)),
+        dict(semi=SemiConfig(temperature=1, aug_sigma=0.05)),
+        dict(train=TrainConfig(base_lr=0.1, total_epochs=1, batch_size=np.int64(16))),
+        dict(train=TrainConfig(base_lr=np.float64(0.1), total_epochs=1, batch_size=16)),
+        dict(semi=SemiConfig(k_aug=np.int64(2), mix_alpha=np.float32(0.75), aug_sigma=0)),
+        dict(hidden_dims=[np.int64(16), 8], warmup_epochs=np.int64(4), seed=np.int32(7)),
+    ])
+    def test_python_values_become_what_the_report_reads_back(self, tmp_path, overrides):
+        config = small_config(**overrides)
+        for f in CONFIG_FIELDS:
+            value = getattr(getattr(config, f.part) if f.part else config, f.key)
+            assert type(value) is {int: int, float: float, _parse_dims: tuple}[f.parse]
+        train, heldout = noisy_scenario()
+        report = run_with_artifacts(train, heldout, config).report
+        write_report(report, tmp_path / "run.report")
+        assert parse_report(tmp_path / "run.report").config_echo == config.echo()
+
+    @pytest.mark.parametrize("overrides", [
+        dict(proto_split_epochs=1.0),
+        dict(warmup_epochs=2.0),
+        dict(seed=1.5),
+        dict(seed=-1),  # numpy seeds only from nonnegative integers
+        dict(hidden_dims=(8.5, True)),
+        dict(hidden_dims=(8, True)),
+        dict(hidden_dims="16,8"),
+        dict(warmup_epochs=True),
+        dict(thresholds=Thresholds(np.bool_(True), 0.5)),
+        dict(semi=SemiConfig(lambda_u=True)),
+    ])
+    def test_value_its_report_cannot_hold_is_rejected(self, overrides):
+        with pytest.raises(ParameterError):
+            small_config(**overrides)
+
     def test_echo_is_flat_strings(self):
         echo = small_config().echo()
         assert echo["hidden_dims"] == "16,8"
@@ -105,6 +144,23 @@ class TestPipelineConfig:
         assert echo["alpha"] == "0.9"
         assert len(echo) == 15
         assert all(isinstance(v, str) for v in echo.values())
+
+
+def test_config_schema_matches_the_config_dataclasses():
+    owners = {None: PipelineConfig, "thresholds": Thresholds,
+              "train": TrainConfig, "semi": SemiConfig}
+    for f in CONFIG_FIELDS:
+        annotation = typing.get_type_hints(owners[f.part])[f.key]
+        assert annotation is {int: int, float: float, _parse_dims: tuple}[f.parse], f.key
+    # a knob without a key would be missing from the report header, so two
+    # runs that differ only in it would write the same report
+    keyed = {(owners[f.part], f.key) for f in CONFIG_FIELDS}
+    set_by_pipeline = {(TrainConfig, "total_epochs"), (TrainConfig, "seed"),
+                       (PipelineConfig, "thresholds"), (PipelineConfig, "train"),
+                       (PipelineConfig, "semi")}
+    init_fields = {(cls, f.name) for cls in owners.values()
+                   for f in dataclasses.fields(cls) if f.init}
+    assert init_fields == keyed | set_by_pipeline
 
 
 def two_class_split_net():
