@@ -79,6 +79,13 @@ class NoisyDataset:
                             self.true_labels, self.num_classes)
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """numpy's generator for ``seed``, which must be an integer >= 0."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def generate_blobs(num_classes: int, per_class: int, dim: int,
                    separation: float, spread: float, seed: int) -> NoisyDataset:
     """Sample one isotropic Gaussian cluster per class, labels clean.
@@ -99,7 +106,7 @@ def generate_blobs(num_classes: int, per_class: int, dim: int,
     if not spread > 0:
         raise ParameterError("spread must be positive")
 
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     directions: list[np.ndarray] = []
     while len(directions) < num_classes:
         v = rng.standard_normal(dim)
@@ -147,7 +154,7 @@ def inject_factual_noise(ds: NoisyDataset, rate: float, seed: int) -> NoisyDatas
     sample in ascending sample-index order.
     """
     _require_clean(ds, rate)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     n, k = ds.n, ds.num_classes
     num_flips = round_half_away(rate * n)
     chosen = np.sort(rng.choice(n, size=num_flips, replace=False))
@@ -205,7 +212,7 @@ def split_heldout(ds: NoisyDataset, fraction: float, seed: int) -> tuple[NoisyDa
     """
     if not 0.0 < fraction < 1.0:
         raise ParameterError("fraction must lie strictly between 0 and 1")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     held_mask = np.zeros(ds.n, dtype=bool)
     for c in range(ds.num_classes):
         idx = np.flatnonzero(ds.true_labels == c)
@@ -267,6 +274,49 @@ def read_ascii(path) -> str:
             f"{path} line {line}: non-ASCII byte 0x{raw[exc.start]:02x}") from None
 
 
+# bytes other than "\n" at which str.splitlines breaks an ASCII line
+_LINE_BREAKS = b"\r\x0b\x0c\x1c\x1d\x1e"
+# the bytes of a plain file that str.strip removes
+_BLANKS = b" \t\x1f\n"
+_SCAN_CHUNK = 1 << 16
+
+
+def _plain_line_count(path) -> int | None:
+    """Lines up to the last non-blank one, or None unless the file is plain.
+
+    A plain file is ASCII and breaks lines only at ``\n``, so its line
+    iterator gives the lines of ``splitlines`` and ``str.strip`` blanks
+    the same lines.  One pass in fixed-size binary chunks: the file's
+    bytes are never held at once.
+    """
+    lines = last = 0
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_SCAN_CHUNK):
+            if not chunk.isascii() or any(b in chunk for b in _LINE_BREAKS):
+                return None
+            breaks = chunk.count(b"\n")
+            body = len(chunk.rstrip(_BLANKS))
+            if body:
+                last = lines + breaks - chunk.count(b"\n", body) + 1
+            lines += breaks
+    return last
+
+
+def _parse_header(line: str, records: int) -> tuple[int, int, int]:
+    """(n, d, k) from the first line of a file with ``records`` lines after it."""
+    header = line.split()
+    if len(header) != 5 or header[0] != DATASET_HEADER or header[1] != "v1":
+        raise FormatError(f"line 1: bad header {line!r}")
+    n = _header_field(header[2], "n")
+    d = _header_field(header[3], "d")
+    k = _header_field(header[4], "k")
+    if n < 1 or d < 1 or k < 2:
+        raise FormatError(f"line 1: header sizes out of range (n={n} d={d} k={k})")
+    if records != n:
+        raise FormatError(f"expected {n} records, found {records}")
+    return n, d, k
+
+
 def load_dataset(path) -> NoisyDataset:
     """Read a dataset file.
 
@@ -275,40 +325,43 @@ def load_dataset(path) -> NoisyDataset:
     whitespace separated.  Raises :class:`FormatError` naming the
     offending line on any malformed content: the records are parsed in
     one array pass, and line by line only when that pass fails.
-    """
-    lines = read_ascii(path).splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise FormatError(f"{path}: empty file")
-    header = lines[0].split()
-    if len(header) != 5 or header[0] != DATASET_HEADER or header[1] != "v1":
-        raise FormatError(f"line 1: bad header {lines[0]!r}")
-    n = _header_field(header[2], "n")
-    d = _header_field(header[3], "d")
-    k = _header_field(header[4], "k")
-    if n < 1 or d < 1 or k < 2:
-        raise FormatError(f"line 1: header sizes out of range (n={n} d={d} k={k})")
-    if len(lines) - 1 != n:
-        raise FormatError(f"expected {n} records, found {len(lines) - 1}")
 
-    arrays = _parse_records_at_once(lines[1:], d, k)
+    A plain file (see ``_plain_line_count``) streams into the array
+    pass.  Any other file, and any file that pass declines, is read as
+    text and split into lines, so every file reads as it would as text.
+    """
+    arrays = None
+    count = _plain_line_count(path)
+    if count:  # None (not plain) and 0 (empty) take the text path, which reports them
+        with open(path, encoding="ascii", newline="\n") as fh:
+            n, d, k = _parse_header(fh.readline().removesuffix("\n"), count - 1)
+            arrays = _parse_records_at_once(fh, d, k, n)
     if arrays is None:
-        arrays = _parse_records_by_line(lines[1:], d, k)
+        lines = read_ascii(path).splitlines()
+        while lines and not lines[-1].strip():
+            lines.pop()
+        if not lines:
+            raise FormatError(f"{path}: empty file")
+        n, d, k = _parse_header(lines[0], len(lines) - 1)
+        arrays = _parse_records_at_once(lines[1:], d, k, n)
+        if arrays is None:
+            arrays = _parse_records_by_line(lines[1:], d, k)
     try:
         return NoisyDataset(*arrays, num_classes=k)
     except ParameterError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
 
-def _parse_records_at_once(records: list[str], d: int, k: int):
-    """(features, working, true) from one ``np.loadtxt`` pass, or None.
+def _parse_records_at_once(records, d: int, k: int, n: int):
+    """(features, working, true) of n records from one ``np.loadtxt`` pass, or None.
 
-    None when the records hold anything the line parser might read
-    differently or reject: a token loadtxt refuses, a blank line (which
-    loadtxt skips), a non-finite feature or a label out of range.  Both
-    parse floats with ``PyOS_string_to_double`` and split on the same
-    whitespace, so when this accepts, the line parser gives equal arrays.
+    ``records`` is a list of lines or a text file positioned at the
+    first record.  None when the records hold anything the line parser
+    might read differently or reject: a token loadtxt refuses, a blank
+    line (which loadtxt skips), a non-finite feature or a label out of
+    range.  Both parse floats with ``PyOS_string_to_double`` and split
+    on the same whitespace, so when this accepts, the line parser gives
+    equal arrays.
     """
     dtype = np.dtype([("features", np.float64, (d,)),
                       ("working", np.int64), ("true", np.int64)])
@@ -319,7 +372,7 @@ def _parse_records_at_once(records: list[str], d: int, k: int):
             rows = np.loadtxt(records, dtype=dtype, comments=None, ndmin=1)
     except (ValueError, Warning):
         return None
-    if rows.shape != (len(records),) or not np.isfinite(rows["features"]).all():
+    if rows.shape != (n,) or not np.isfinite(rows["features"]).all():
         return None
     working, true = rows["working"], rows["true"]
     if min(working.min(), true.min()) < 0 or max(working.max(), true.max()) >= k:

@@ -23,6 +23,7 @@ from .net import (
     cross_entropy_grads,
     epoch_shuffle_rng,
     is_int,
+    is_real,
     one_hot,
     softmax,
 )
@@ -43,13 +44,13 @@ class SemiConfig:
     def __post_init__(self):
         if not is_int(self.k_aug) or self.k_aug < 1:
             raise ParameterError(f"k_aug must be an integer >= 1, got {self.k_aug}")
-        if not 0 < self.temperature < np.inf:
+        if not is_real(self.temperature) or not 0 < self.temperature < np.inf:
             raise ParameterError(f"temperature must be finite and positive, got {self.temperature}")
-        if not 0 < self.mix_alpha < np.inf:
+        if not is_real(self.mix_alpha) or not 0 < self.mix_alpha < np.inf:
             raise ParameterError(f"mix_alpha must be finite and positive, got {self.mix_alpha}")
-        if not 0 <= self.lambda_u < np.inf:
+        if not is_real(self.lambda_u) or not 0 <= self.lambda_u < np.inf:
             raise ParameterError(f"lambda_u must be finite and nonnegative, got {self.lambda_u}")
-        if not 0 <= self.aug_sigma < np.inf:
+        if not is_real(self.aug_sigma) or not 0 <= self.aug_sigma < np.inf:
             raise ParameterError(f"aug_sigma must be finite and nonnegative, got {self.aug_sigma}")
 
 

@@ -23,6 +23,11 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """True for Python and numpy integers and floats; a bool is not one."""
+    return is_int(value) or isinstance(value, (float, np.floating))
+
+
 @dataclass
 class TrainConfig:
     """Supervised SGD settings; the learning rate follows a cosine decay."""
@@ -40,9 +45,9 @@ class TrainConfig:
             if not is_int(value) or value < low:
                 raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
             setattr(self, name, int(value))
-        if not 0 <= self.base_lr < math.inf:
+        if not is_real(self.base_lr) or not 0 <= self.base_lr < math.inf:
             raise ParameterError("base_lr must be finite and nonnegative")
-        if not 0 <= self.weight_decay < math.inf:
+        if not is_real(self.weight_decay) or not 0 <= self.weight_decay < math.inf:
             raise ParameterError("weight_decay must be finite and nonnegative")
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .data import NoisyDataset, read_ascii
 from .errors import DegenerateClassError, FormatError, ParameterError
 from .mixmatch import SemiConfig, semi_train_epoch
-from .net import Network, TrainConfig, init_network, is_int, train_epoch
+from .net import Network, TrainConfig, init_network, is_int, is_real, train_epoch
 from .select import (
     CorrectionRecord,
     StatsRow,
@@ -64,7 +64,7 @@ class ConfigField(NamedTuple):
         if self.parse is _parse_dims:
             ok = isinstance(value, (tuple, list)) and all(map(is_int, value))
         else:
-            ok = is_int(value) or self.parse is float and isinstance(value, (float, np.floating))
+            ok = is_real(value) if self.parse is float else is_int(value)
         if not ok:
             raise ParameterError(f"{self.key} has the wrong type: {value!r}")
         return tuple(map(int, value)) if self.parse is _parse_dims else self.parse(value)

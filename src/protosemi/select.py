@@ -33,7 +33,7 @@ from .errors import (
     FormatError,
     ParameterError,
 )
-from .net import Network
+from .net import Network, is_real
 
 ZONES = ("small", "ring", "outside")
 ACTIONS = ("corrected", "retained", "unmoved")
@@ -49,7 +49,8 @@ class Thresholds:
     beta: float
 
     def __post_init__(self):
-        if not (1.0 >= self.alpha > self.beta >= -1.0):
+        if not (is_real(self.alpha) and is_real(self.beta)
+                and 1.0 >= self.alpha > self.beta >= -1.0):
             raise ParameterError(
                 f"thresholds must satisfy 1 >= alpha > beta >= -1, got "
                 f"alpha={self.alpha}, beta={self.beta}"

@@ -94,6 +94,15 @@ class TestGenData:
         train_rows = {row.tobytes() for row in train.features}
         assert all(row.tobytes() not in train_rows for row in heldout.features)
 
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        out, heldout = tmp_path / "out.ds", tmp_path / "heldout.ds"
+        for extra in ([], ["--heldout-out", str(heldout)]):
+            code = main(["gen-data", "--classes", "3", "--per-class", "10", "--seed", "-1",
+                         "--out", str(out), *extra])
+            assert code == 2
+            assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+            assert not out.exists() and not heldout.exists()
+
     def test_missing_out_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["gen-data", "--classes", "3"])

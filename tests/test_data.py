@@ -1,5 +1,6 @@
 """Dataset generation, noise injection, and serialization."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import same_arrays
+from protosemi import data
 from protosemi.data import (
     NoisyDataset,
     _parse_records_at_once,
@@ -216,6 +218,16 @@ class TestSplitHeldout:
         for frac in (0.0, 1.0, -0.2):
             with pytest.raises(ParameterError):
                 split_heldout(ds, frac, seed=0)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda seed: generate_blobs(2, 5, 3, 4.0, 1.0, seed),
+    lambda seed: inject_factual_noise(generate_blobs(2, 5, 3, 4.0, 1.0, 0), 0.2, seed),
+    lambda seed: split_heldout(generate_blobs(2, 5, 3, 4.0, 1.0, 0), 0.2, seed),
+], ids=["generate_blobs", "inject_factual_noise", "split_heldout"])
+def test_negative_seed_is_parameter_error(draw):
+    with pytest.raises(ParameterError, match=r"^seed must be an integer >= 0, got -1$"):
+        draw(-1)
 
 
 class TestDatasetValidation:
@@ -462,7 +474,7 @@ class TestLoaderTable:
         ds = inject_factual_noise(generate_blobs(4, 30, 5, 5.0, 1.0, seed=8), 0.3, seed=8)
         save_dataset(ds, tmp_path / "ds.txt")
         records = (tmp_path / "ds.txt").read_text().splitlines()[1:]
-        at_once = _parse_records_at_once(records, ds.dim, ds.num_classes)
+        at_once = _parse_records_at_once(records, ds.dim, ds.num_classes, len(records))
         assert at_once is not None
         for got, want in zip(at_once, _parse_records_by_line(records, ds.dim, ds.num_classes)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -474,9 +486,78 @@ class TestLoaderTable:
     @settings(max_examples=300, deadline=None)
     def test_array_pass_accepts_only_what_the_line_parser_reads_alike(self, lines):
         records = [pad + sep.join(tokens) + pad for tokens, sep, pad in lines]
-        at_once = _parse_records_at_once(records, 2, 3)
+        at_once = _parse_records_at_once(records, 2, 3, len(records))
         if at_once is None:
             return
         by_line = _parse_records_by_line(records, 2, 3)  # must not raise
         for got, want in zip(at_once, by_line):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _load_outcome(path):
+    """The arrays a file loads to, or the text of its FormatError."""
+    try:
+        ds = load_dataset(path)
+    except FormatError as exc:
+        return str(exc)
+    return ds.features.tobytes(), ds.working_labels.tobytes(), ds.true_labels.tobytes()
+
+
+class TestPlainScan:
+    def _table_files(self, tmp_path):
+        texts = [("\n".join([_HEADER, *records]) + "\n") for _, records, _ in _REJECTED]
+        texts += [ending.join([_HEADER, *records]) + ending + ending
+                  for _, records in _ACCEPTED for ending in ("\n", "\r\n")]
+        paths = []
+        for i, text in enumerate(texts):
+            paths.append(tmp_path / f"{i}.ds")
+            paths[-1].write_bytes(text.encode("ascii"))
+        ds = inject_factual_noise(generate_blobs(3, 20, 4, 5.0, 1.0, seed=5), 0.3, seed=5)
+        paths.append(tmp_path / "saved.ds")
+        save_dataset(ds, paths[-1])
+        return paths
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5])
+    def test_small_chunks_read_alike(self, tmp_path, monkeypatch, chunk):
+        paths = self._table_files(tmp_path)
+        counts = [data._plain_line_count(p) for p in paths]
+        outcomes = [_load_outcome(p) for p in paths]
+        assert counts[-1] == 61  # a saved file is plain
+        monkeypatch.setattr(data, "_SCAN_CHUNK", chunk)
+        assert [data._plain_line_count(p) for p in paths] == counts
+        assert [_load_outcome(p) for p in paths] == outcomes
+
+    @pytest.mark.parametrize("chunk", [5, None])
+    def test_line_break_past_the_first_chunk(self, tmp_path, monkeypatch, chunk):
+        # the only byte that splitlines breaks at, other than "\n", is in
+        # the last record, past the first chunk at either size
+        if chunk:
+            monkeypatch.setattr(data, "_SCAN_CHUNK", chunk)
+        records = [_GOOD[0] + " " * data._SCAN_CHUNK, _GOOD[1], "-0.75 3.0\x0c2 2"]
+        path = tmp_path / "ff.ds"
+        path.write_bytes(("\n".join([_HEADER, *records]) + "\n").encode("ascii"))
+        assert data._plain_line_count(path) is None
+        with pytest.raises(FormatError) as info:
+            load_dataset(path)
+        assert str(info.value) == "expected 3 records, found 4"
+
+
+def test_load_peak_memory_is_bounded(tmp_path):
+    # a plain file streams into the array pass: the loader holds neither
+    # the file's text nor a string per record
+    ds = inject_factual_noise(generate_blobs(4, 2500, 16, 6.0, 1.0, seed=1), 0.3, seed=1)
+    path = tmp_path / "10k.ds"
+    save_dataset(ds, path)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        back = load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    held = back.features.nbytes + back.working_labels.nbytes + back.true_labels.nbytes
+    assert peak <= 2.5 * held

@@ -57,6 +57,8 @@ class TestSemiConfig:
         # a float count would reach the report header as "2.0", which
         # parse_report rejects
         dict(k_aug=2.0),
+        # a value of the wrong type is a ParameterError, not a TypeError
+        dict(lambda_u="1.0"), dict(temperature=None), dict(lambda_u=True),
     ])
     def test_invalid(self, bad):
         with pytest.raises(ParameterError):

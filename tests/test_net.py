@@ -280,6 +280,8 @@ class TestTrainConfig:
         # integer knobs take integer types only; numpy seeds only from n >= 0
         dict(batch_size=4.0), dict(total_epochs=2.0), dict(seed=1.5),
         dict(batch_size=True), dict(seed=-1),
+        # float knobs take numbers only
+        dict(base_lr="0.1"), dict(weight_decay=None),
     ])
     def test_invalid_values(self, bad):
         kwargs = dict(base_lr=0.1, total_epochs=2, batch_size=4, weight_decay=0.0, seed=0)

@@ -130,8 +130,6 @@ class TestPipelineConfig:
         dict(hidden_dims=(8, True)),
         dict(hidden_dims="16,8"),
         dict(warmup_epochs=True),
-        dict(thresholds=Thresholds(np.bool_(True), 0.5)),
-        dict(semi=SemiConfig(lambda_u=True)),
     ])
     def test_value_its_report_cannot_hold_is_rejected(self, overrides):
         with pytest.raises(ParameterError):

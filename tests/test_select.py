@@ -73,6 +73,8 @@ class TestThresholds:
 
     @pytest.mark.parametrize("alpha,beta", [
         (0.9, 0.9), (0.8, 0.9), (1.1, 0.5), (0.5, -1.1),
+        # a value of the wrong type is a ParameterError, not a TypeError
+        ("0.9", 0.5), (0.9, None), (np.bool_(True), 0.5),
     ])
     def test_invalid(self, alpha, beta):
         with pytest.raises(ParameterError):
