@@ -112,7 +112,7 @@ def _cmd_train(args) -> int:
     result = run_with_artifacts(dataset, heldout, config, args.variant)
     report = result.report
     if args.export_embeddings:
-        # the run's copy holds the corrected labels the last epoch trained on
+        # the run's dataset holds the corrected labels the last epoch trained on
         export_embeddings(result.net, result.dataset, args.export_embeddings)
 
     write_report(report, args.report)

@@ -179,6 +179,7 @@ def inject_ambiguity_noise(ds: NoisyDataset, rate: float, seed: int) -> NoisyDat
     sample index) are relabeled to their nearest other class.
     """
     _require_clean(ds, rate)
+    _rng(seed)  # checks the seed as every seeded function does; the flips draw nothing
     n, k = ds.n, ds.num_classes
     num_flips = round_half_away(rate * n)
 

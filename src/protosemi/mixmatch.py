@@ -188,16 +188,16 @@ def semi_train_epoch(net: Network, confident_view, unconfident_view,
     if use_unlabeled:
         u_order = rng.permutation(xu.shape[0])
 
-    # one gather per epoch; each labeled batch is a slice of it
-    xl_shuffled = xl[perm]
-    pl_shuffled = one_hot(yl[perm], net.num_classes)
     labeled_total = 0.0
     unlabeled_total = 0.0
     for start in range(0, n, train_config.batch_size):
         stop = min(start + train_config.batch_size, n)
         b = stop - start
-        xb = augment(xl_shuffled[start:stop], sigma, rng)
-        pb = pl_shuffled[start:stop]
+        # each labeled batch gathers its own rows, so no shuffled copy of the
+        # view exists; take copies a batch of rows faster than fancy indexing
+        rows = perm[start:stop]
+        xb = augment(xl.take(rows, axis=0), sigma, rng)
+        pb = one_hot(yl[rows], net.num_classes)
 
         if use_unlabeled:
             take = u_order[np.arange(start, stop) % u_order.size]

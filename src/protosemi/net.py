@@ -17,6 +17,10 @@ from .errors import ParameterError
 
 _SHUFFLE_STREAM = 0  # rng stream tag for per-epoch batch shuffling
 
+# ``forward`` and ``embed`` pass a 2-D input of more rows than this in
+# row blocks, so a full-set pass never holds every hidden layer at once
+FORWARD_BLOCK_ROWS = 1024
+
 
 def is_int(value) -> bool:
     """True for Python and numpy integers; a bool is not one."""
@@ -93,12 +97,44 @@ class Network:
         logits += self.biases[-1]
         return acts, logits
 
+    def _in_blocks(self, x: np.ndarray, logits: bool) -> np.ndarray:
+        """Logits or last hidden layer of a (B, D) input, one row block at a time.
+
+        Each block is passed on its own and its rows copied into one
+        preallocated output.  A matrix product gives a row the same bits
+        in any block of 2 or more rows, but a 1-row product takes numpy's
+        gemv path and rounds differently, so a 1-row tail joins the block
+        before it.
+        """
+        n = len(x)
+        starts = list(range(0, n, FORWARD_BLOCK_ROWS))
+        if n - starts[-1] == 1:
+            del starts[-1]
+        out = np.empty((n, self.num_classes if logits else self.embed_dim))
+        for start, stop in zip(starts, starts[1:] + [n]):
+            acts, block_logits = self.activations(x[start:stop])
+            out[start:stop] = block_logits if logits else acts[-1]
+            del acts, block_logits  # free this block's layers before the next is passed
+        return out
+
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Logits for a (B, D) batch, or for a (k, B, D) stack of them."""
+        """Logits for a (B, D) batch, or for a (k, B, D) stack of them.
+
+        A batch of more than ``FORWARD_BLOCK_ROWS`` rows is passed in row
+        blocks, with the bits of one pass.
+        """
+        if np.ndim(x) == 2 and len(x) > FORWARD_BLOCK_ROWS:
+            return self._in_blocks(x, logits=True)
         return self.activations(x)[1]
 
     def embed(self, x: np.ndarray) -> np.ndarray:
-        """Last hidden activation for one (D,) input or a (B, D) batch."""
+        """Last hidden activation for one (D,) input or a (B, D) batch.
+
+        A batch of more than ``FORWARD_BLOCK_ROWS`` rows is passed in row
+        blocks, with the bits of one pass.
+        """
+        if np.ndim(x) == 2 and len(x) > FORWARD_BLOCK_ROWS:
+            return self._in_blocks(x, logits=False)
         hidden = self.activations(x)[0][-1]
         return hidden[0] if np.ndim(x) == 1 else hidden
 
@@ -239,13 +275,14 @@ def train_epoch(net: Network, features: np.ndarray, labels: np.ndarray,
         raise ParameterError("training view must be nonempty")
     lr = cosine_lr(epoch_index, config.total_epochs, config.base_lr)
     perm = epoch_shuffle_rng(config.seed, epoch_index).permutation(n)
-    # one gather per epoch; each batch is a slice of it
-    shuffled = features[perm]
-    targets = one_hot(labels[perm], net.num_classes)
     total_loss = 0.0
     for start in range(0, n, config.batch_size):
         stop = min(start + config.batch_size, n)
-        loss, grads_w, grads_b = cross_entropy_grads(net, shuffled[start:stop], targets[start:stop])
+        # each batch gathers its own rows, so no shuffled copy of the view
+        # exists; take copies a batch of rows faster than fancy indexing
+        rows = perm[start:stop]
+        loss, grads_w, grads_b = cross_entropy_grads(
+            net, features.take(rows, axis=0), one_hot(labels[rows], net.num_classes))
         net.sgd_step(grads_w, grads_b, lr, config.weight_decay)
         total_loss += loss * (stop - start)
     return total_loss / n

@@ -6,7 +6,8 @@ prototype-based label correction for the first few epochs, and trains
 semi-supervised on the resulting labeled/unlabeled views.  The held-out
 set is scored after every epoch.  Everything is deterministic in the
 run seed; the caller's dataset is never mutated (label corrections act
-on an internal copy).
+on the run's own copy of the labels, and the features are shared
+read-only).
 """
 
 from __future__ import annotations
@@ -234,7 +235,7 @@ class RunResult:
 
     report: RunReport
     net: Network
-    dataset: NoisyDataset  # the run's copy, with its corrected working labels
+    dataset: NoisyDataset  # the run's labels, corrected, on the caller's features (read-only)
     correction_logs: list  # [(epoch, [CorrectionRecord, ...]), ...]
 
 
@@ -256,7 +257,11 @@ def run_with_artifacts(dataset: NoisyDataset, heldout: NoisyDataset,
     if dataset.num_classes != heldout.num_classes or dataset.dim != heldout.dim:
         raise ParameterError("dataset and heldout must share classes and dimension")
 
-    ds = dataset.copy()  # corrections must not leak into the caller's data
+    # corrections write only the working labels, which NoisyDataset copies;
+    # the features are the caller's, behind a read-only view
+    features = dataset.features.view()
+    features.flags.writeable = False
+    ds = NoisyDataset(features, dataset.working_labels, dataset.true_labels, dataset.num_classes)
     net = init_network([ds.dim, *config.hidden_dims, ds.num_classes], config.seed)
 
     epochs: list[EpochRecord] = []

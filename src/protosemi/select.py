@@ -86,7 +86,7 @@ class PrototypeMatrix:
     support_counts: np.ndarray  # (K,) int64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorrectionRecord:
     """Per-sample outcome of one repartition pass."""
 
@@ -211,8 +211,10 @@ def repartition(net: Network, ds: NoisyDataset, partition: Partition,
     moved = small | ring
     ds.working_labels[unconf[corrected]] = proto[corrected]
 
-    zone = np.select([small, ring], ["small", "ring"], "outside")
-    action = np.select([corrected, moved], ["corrected", "retained"], "unmoved")
+    # object arrays that hold the ZONES and ACTIONS strings themselves, so
+    # every record shares those objects instead of holding fresh copies
+    zone = np.array(ZONES, dtype=object)[np.select([small, ring], [0, 1], 2)]
+    action = np.array(ACTIONS, dtype=object)[np.select([corrected, moved], [0, 1], 2)]
     # .tolist() gives Python scalars, whose repr the log CSV relies on
     log = [CorrectionRecord(*fields) for fields in zip(
         unconf.tolist(), d_max.tolist(), proto.tolist(), prior.tolist(),

@@ -223,8 +223,9 @@ class TestSplitHeldout:
 @pytest.mark.parametrize("draw", [
     lambda seed: generate_blobs(2, 5, 3, 4.0, 1.0, seed),
     lambda seed: inject_factual_noise(generate_blobs(2, 5, 3, 4.0, 1.0, 0), 0.2, seed),
+    lambda seed: inject_ambiguity_noise(generate_blobs(2, 5, 3, 4.0, 1.0, 0), 0.2, seed),
     lambda seed: split_heldout(generate_blobs(2, 5, 3, 4.0, 1.0, 0), 0.2, seed),
-], ids=["generate_blobs", "inject_factual_noise", "split_heldout"])
+], ids=["generate_blobs", "inject_factual_noise", "inject_ambiguity_noise", "split_heldout"])
 def test_negative_seed_is_parameter_error(draw):
     with pytest.raises(ParameterError, match=r"^seed must be an integer >= 0, got -1$"):
         draw(-1)

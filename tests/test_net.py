@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from protosemi.errors import ParameterError
 from protosemi.net import (
+    FORWARD_BLOCK_ROWS,
     Network,
     TrainConfig,
     cosine_lr,
@@ -114,6 +115,29 @@ class TestForwardEmbed:
         net = init_network([3, 4, 2], seed=0)
         with pytest.raises(ParameterError):
             net.forward(np.zeros((1, 5)))
+
+    @pytest.mark.parametrize("rows", [
+        FORWARD_BLOCK_ROWS - 1, FORWARD_BLOCK_ROWS, FORWARD_BLOCK_ROWS + 1,
+        2 * FORWARD_BLOCK_ROWS + 1, 3 * FORWARD_BLOCK_ROWS + 7,
+    ])
+    def test_row_blocks_keep_the_bits_of_one_pass(self, rows):
+        # FORWARD_BLOCK_ROWS + 1 and 2 * FORWARD_BLOCK_ROWS + 1 would leave a
+        # 1-row block, whose gemv product rounds unlike the gemm of one pass
+        net = init_network([16, 32, 16, 4], seed=5)
+        x = np.random.default_rng(rows).standard_normal((rows, 16))
+        acts, logits = net.activations(x)
+        assert np.array_equal(net.forward(x), logits)
+        assert np.array_equal(net.embed(x), acts[-1])
+
+    def test_stack_and_single_vector_pass_whole(self):
+        net = init_network([16, 32, 16, 4], seed=5)
+        rng = np.random.default_rng(0)
+        stack = rng.standard_normal((2, FORWARD_BLOCK_ROWS + 1, 16))
+        logits = net.forward(stack)
+        assert logits.shape == (2, FORWARD_BLOCK_ROWS + 1, 4)
+        assert np.array_equal(logits, net.activations(stack)[1])
+        x = rng.standard_normal(16)
+        assert np.array_equal(net.embed(x), net.activations(x[None, :])[0][-1][0])
 
     def test_batch_and_single_agree(self):
         # BLAS may sum in a different order for (1,D) vs (B,D), so this

@@ -2,11 +2,14 @@
 
 import dataclasses
 import re
+import tracemalloc
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from protosemi.cli import parse_config_file
 from protosemi.data import (
     NoisyDataset,
     generate_blobs,
@@ -261,10 +264,14 @@ class TestDeterminismAndPurity:
         train, heldout = noisy_scenario()
         labels_before = train.working_labels.copy()
         feats_before = train.features.copy()
-        report = run_with_artifacts(train, heldout, small_config()).report
-        assert sum(c.stats.corrected for c in report.corrections) > 0
+        result = run_with_artifacts(train, heldout, small_config())
+        assert sum(c.stats.corrected for c in result.report.corrections) > 0
         assert np.array_equal(train.working_labels, labels_before)
         assert np.array_equal(train.features, feats_before)
+        # the run shares the caller's features behind a read-only view
+        assert np.shares_memory(result.dataset.features, train.features)
+        assert not result.dataset.features.flags.writeable
+        assert train.features.flags.writeable
 
     def test_seeded_rerun_is_identical(self):
         train, heldout = noisy_scenario()
@@ -313,6 +320,29 @@ class TestDeterminismAndPurity:
         # the correction audit is the one consumer of true labels
         assert [c.stats.small_circle for c in a.report.corrections] == \
             [c.stats.small_circle for c in b.report.corrections]
+
+
+@pytest.mark.parametrize("variant, bound", [("full", 5.0), ("no_semi", 1.5)])
+def test_run_peak_memory_is_bounded(variant, bound):
+    # the run shares the caller's features, gathers each batch by index and
+    # passes full sets in row blocks, so it holds its data about once
+    clean = generate_blobs(4, 3125, 16, 6.0, 1.0, seed=1)
+    train, heldout = split_heldout(clean, 0.2, seed=1)
+    train = inject_factual_noise(train, 0.3, seed=1)
+    config = parse_config_file(Path(__file__).resolve().parent.parent / "configs" / "benchmark.cfg")
+    assert train.n == 10_000
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run_with_artifacts(train, heldout, config, variant)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= bound * train.features.nbytes
 
 
 class TestDegenerateAbort:

@@ -22,6 +22,8 @@ from protosemi.errors import (
 )
 from protosemi.net import Network, init_network, train_epoch, TrainConfig
 from protosemi.select import (
+    ACTIONS,
+    ZONES,
     CorrectionRecord,
     Partition,
     StatsRow,
@@ -376,6 +378,9 @@ class TestRepartition:
                                  np.random.default_rng([seed, 2, 7]))
             got = [(r.index, r.zone, r.action, r.proto_label, r.prior_label) for r in log]
             assert got == expected
+            # every record holds the ZONES and ACTIONS strings, not copies of them
+            assert all(r.zone is ZONES[ZONES.index(r.zone)]
+                       and r.action is ACTIONS[ACTIONS.index(r.action)] for r in log)
 
     def test_partition_exactness_and_move_semantics(self):
         net, ds = small_noisy_setup(seed=42)
