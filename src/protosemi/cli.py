@@ -8,7 +8,6 @@ its confident samples, or geometry degenerated).
 from __future__ import annotations
 
 import argparse
-import io
 import sys
 
 from .data import (
@@ -16,7 +15,7 @@ from .data import (
     inject_ambiguity_noise,
     inject_factual_noise,
     load_dataset,
-    read_ascii,
+    read_lines,
     save_dataset,
     split_heldout,
 )
@@ -32,6 +31,7 @@ from .pipeline import (
     VARIANTS,
     PipelineConfig,
     export_embeddings,
+    naming_key_lines,
     run_with_artifacts,
     write_report,
     write_stats_csv,
@@ -40,41 +40,37 @@ from .select import correction_stats, load_correction_log, save_correction_log
 
 # provenance of the matching dataset: checked for well-formedness, never
 # passed to training
-_PROVENANCE_KEYS = ("eval_split", "noise_type", "noise_rate", "noise_seed")
+_PROVENANCE = (ConfigField("eval_split", float), ConfigField("noise_type", str),
+               ConfigField("noise_rate", float), ConfigField("noise_seed", int))
 
 
 def parse_config_file(path) -> PipelineConfig:
     """Read a key=value run config; unknown or missing keys are errors."""
-    known = {f.key for f in CONFIG_FIELDS}.union(_PROVENANCE_KEYS)
+    known = {f.key for f in CONFIG_FIELDS + _PROVENANCE}
     values: dict[str, str] = {}
-    # newline=None splits lines as a file opened in text mode does
-    with io.StringIO(read_ascii(path), newline=None) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, eq, value = line.partition("=")
-            if not eq:
-                raise FormatError(f"{path} line {lineno}: expected key=value")
-            key, value = key.strip(), value.strip()
-            if key not in known:
-                raise FormatError(f"{path} line {lineno}: unknown key {key!r}")
-            if key in values:
-                raise FormatError(f"{path} line {lineno}: duplicate key {key!r}")
-            values[key] = value
-
-    def parse(key: str, parser):
-        return ConfigField(key, parser).read(values, path)
-
-    if "eval_split" in values and not 0.0 < parse("eval_split", float) < 1.0:
-        raise FormatError(f"{path}: eval_split must lie in (0, 1)")
-    if "noise_type" in values and values["noise_type"] not in ("factual", "ambiguity"):
-        raise FormatError(f"{path}: noise_type must be factual or ambiguity")
-    if "noise_rate" in values and not 0.0 <= parse("noise_rate", float) <= 1.0:
-        raise FormatError(f"{path}: noise_rate must lie in [0, 1]")
-    if "noise_seed" in values:
-        parse("noise_seed", int)
-    return PipelineConfig.from_fields(values, path)
+    linenos: dict[str, int] = {}
+    for lineno, raw in enumerate(read_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise FormatError(f"{path} line {lineno}: expected key=value")
+        key, value = key.strip(), value.strip()
+        if key not in known:
+            raise FormatError(f"{path} line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise FormatError(f"{path} line {lineno}: duplicate key {key!r}")
+        values[key], linenos[key] = value, lineno
+    with naming_key_lines(path, linenos):
+        given = {f.key: f.read(values) for f in _PROVENANCE if f.key in values}
+        if "eval_split" in given and not 0.0 < given["eval_split"] < 1.0:
+            raise ParameterError("eval_split must lie in (0, 1)")
+        if "noise_type" in given and given["noise_type"] not in ("factual", "ambiguity"):
+            raise ParameterError("noise_type must be factual or ambiguity")
+        if "noise_rate" in given and not 0.0 <= given["noise_rate"] <= 1.0:
+            raise ParameterError("noise_rate must lie in [0, 1]")
+        return PipelineConfig.from_fields(values)
 
 
 def _cmd_gen_data(args) -> int:

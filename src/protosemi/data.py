@@ -11,13 +11,14 @@ ambiguity noise (flips concentrated on samples near class boundaries).
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError, ParameterError
+from .net import is_real, require_int, seeded_rng
 
 DATASET_HEADER = "protosemi-dataset"
 FLOAT_FMT = "%.17g"  # 17 significant digits round-trips any float64 exactly
@@ -50,8 +51,7 @@ class NoisyDataset:
         if not np.all(np.isfinite(self.features)):
             raise ParameterError("features must be finite")
         n = self.features.shape[0]
-        if self.num_classes < 2:
-            raise ParameterError("num_classes must be at least 2")
+        require_int("num_classes", self.num_classes, 2)
         for name, labels in (("working", self.working_labels), ("true", self.true_labels)):
             if labels.shape != (n,):
                 raise ParameterError(f"{name} labels must have shape ({n},)")
@@ -79,13 +79,6 @@ class NoisyDataset:
                             self.true_labels, self.num_classes)
 
 
-def _rng(seed: int) -> np.random.Generator:
-    """numpy's generator for ``seed``, which must be an integer >= 0."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
-    return np.random.default_rng(seed)
-
-
 def generate_blobs(num_classes: int, per_class: int, dim: int,
                    separation: float, spread: float, seed: int) -> NoisyDataset:
     """Sample one isotropic Gaussian cluster per class, labels clean.
@@ -95,18 +88,14 @@ def generate_blobs(num_classes: int, per_class: int, dim: int,
     class k is ``center_k + spread * g`` with g standard normal.
     Deterministic for a fixed seed.
     """
-    if num_classes < 2:
-        raise ParameterError("num_classes must be at least 2")
-    if per_class < 1:
-        raise ParameterError("per_class must be at least 1")
-    if dim < 2:
-        raise ParameterError("dim must be at least 2")
-    if not separation > 0:
-        raise ParameterError("separation must be positive")
-    if not spread > 0:
-        raise ParameterError("spread must be positive")
+    for name, value, low in (("num_classes", num_classes, 2), ("per_class", per_class, 1),
+                             ("dim", dim, 2)):
+        require_int(name, value, low)
+    for name, value in (("separation", separation), ("spread", spread)):
+        if not is_real(value) or not value > 0:
+            raise ParameterError(f"{name} must be positive, got {value!r}")
 
-    rng = _rng(seed)
+    rng = seeded_rng(seed)
     directions: list[np.ndarray] = []
     while len(directions) < num_classes:
         v = rng.standard_normal(dim)
@@ -139,8 +128,8 @@ def generate_blobs(num_classes: int, per_class: int, dim: int,
 
 
 def _require_clean(ds: NoisyDataset, rate: float) -> None:
-    if not 0.0 <= rate <= 1.0:
-        raise ParameterError("rate must lie in [0, 1]")
+    if not is_real(rate) or not 0.0 <= rate <= 1.0:
+        raise ParameterError(f"rate must lie in [0, 1], got {rate!r}")
     if np.any(ds.working_labels != ds.true_labels):
         raise ParameterError("noise injection requires a clean dataset (working == true)")
 
@@ -154,7 +143,7 @@ def inject_factual_noise(ds: NoisyDataset, rate: float, seed: int) -> NoisyDatas
     sample in ascending sample-index order.
     """
     _require_clean(ds, rate)
-    rng = _rng(seed)
+    rng = seeded_rng(seed)
     n, k = ds.n, ds.num_classes
     num_flips = round_half_away(rate * n)
     chosen = np.sort(rng.choice(n, size=num_flips, replace=False))
@@ -179,7 +168,7 @@ def inject_ambiguity_noise(ds: NoisyDataset, rate: float, seed: int) -> NoisyDat
     sample index) are relabeled to their nearest other class.
     """
     _require_clean(ds, rate)
-    _rng(seed)  # checks the seed as every seeded function does; the flips draw nothing
+    seeded_rng(seed)  # checks the seed as every seeded function does; the flips draw nothing
     n, k = ds.n, ds.num_classes
     num_flips = round_half_away(rate * n)
 
@@ -211,9 +200,9 @@ def split_heldout(ds: NoisyDataset, fraction: float, seed: int) -> tuple[NoisyDa
     Every class keeps at least one sample on each side, so both halves
     remain valid datasets.
     """
-    if not 0.0 < fraction < 1.0:
-        raise ParameterError("fraction must lie strictly between 0 and 1")
-    rng = _rng(seed)
+    if not is_real(fraction) or not 0.0 < fraction < 1.0:
+        raise ParameterError(f"fraction must lie strictly between 0 and 1, got {fraction!r}")
+    rng = seeded_rng(seed)
     held_mask = np.zeros(ds.n, dtype=bool)
     for c in range(ds.num_classes):
         idx = np.flatnonzero(ds.true_labels == c)
@@ -263,43 +252,58 @@ def _header_field(token: str, key: str) -> int:
         raise FormatError(f"header field {token!r} is not an integer") from None
 
 
-def read_ascii(path) -> str:
-    """The text of an ASCII file; any other byte is a FormatError naming its line."""
-    raw = Path(path).read_bytes()
-    try:
-        return raw.decode("ascii")
-    except UnicodeDecodeError as exc:
-        # the bad byte ends the last line of this prefix
-        line = len(raw[:exc.start + 1].splitlines())
-        raise FormatError(
-            f"{path} line {line}: non-ASCII byte 0x{raw[exc.start]:02x}") from None
-
-
-# bytes other than "\n" at which str.splitlines breaks an ASCII line
-_LINE_BREAKS = b"\r\x0b\x0c\x1c\x1d\x1e"
-# the bytes of a plain file that str.strip removes
-_BLANKS = b" \t\x1f\n"
+# the bytes that read_lines forbids, and the first byte that breaks its rule
+_CONTROL = tuple(b for b in range(32) if b not in b"\t\n\r") + (0x7f,)
+_BAD_BYTE = re.compile(rb"[^\t\n\r -~]|\r(?!\n)")
 _SCAN_CHUNK = 1 << 16
 
 
-def _plain_line_count(path) -> int | None:
-    """Lines up to the last non-blank one, or None unless the file is plain.
+def _chunks(path):
+    r"""(bytes, count of "\n") of a file in chunks that keep the rule of ``read_lines``.
 
-    A plain file is ASCII and breaks lines only at ``\n``, so its line
-    iterator gives the lines of ``splitlines`` and ``str.strip`` blanks
-    the same lines.  One pass in fixed-size binary chunks: the file's
-    bytes are never held at once.
+    No chunk ends inside "\r\n"; one that fails the fast test is searched for its bad byte.
     """
-    lines = last = 0
+    line = 1
     with open(path, "rb") as fh:
         while chunk := fh.read(_SCAN_CHUNK):
-            if not chunk.isascii() or any(b in chunk for b in _LINE_BREAKS):
-                return None
-            breaks = chunk.count(b"\n")
-            body = len(chunk.rstrip(_BLANKS))
-            if body:
-                last = lines + breaks - chunk.count(b"\n", body) + 1
-            lines += breaks
+            if chunk.endswith(b"\r"):
+                chunk += fh.read(1)
+            if not (chunk.isascii() and not any(b in chunk for b in _CONTROL)
+                    and (b"\r" not in chunk or chunk.count(b"\r") == chunk.count(b"\r\n"))):
+                at = _BAD_BYTE.search(chunk).start()
+                kind = "non-ASCII" if chunk[at] > 0x7f else "control"
+                line += chunk.count(b"\n", 0, at)
+                raise FormatError(f"{path} line {line}: {kind} byte 0x{chunk[at]:02x}")
+            yield chunk, (breaks := chunk.count(b"\n"))
+            line += breaks
+
+
+def read_lines(path):
+    r"""Yield the lines of a text file, each with its line ending.
+
+    The one rule for every text file this package reads: it is ASCII, a
+    line ends at "\n", optionally after one "\r", and it holds no other
+    control byte but tab.  A byte that breaks it is a FormatError naming
+    its line, raised before any line of its chunk is yielded.
+    """
+    tail = ""
+    for chunk, _ in _chunks(path):
+        # checked text holds no line break but "\n" and "\r\n"
+        lines = (tail + chunk.decode("ascii")).splitlines(keepends=True)
+        tail = "" if lines[-1].endswith("\n") else lines.pop()
+        yield from lines
+    if tail:
+        yield tail
+
+
+def _line_count(path) -> int:
+    """Lines up to the last non-blank one, from one pass over ``_chunks``."""
+    lines = last = 0
+    for chunk, breaks in _chunks(path):
+        body = len(chunk.rstrip(b" \t\r\n"))
+        if body:
+            last = lines + breaks - chunk.count(b"\n", body) + 1
+        lines += breaks
     return last
 
 
@@ -308,9 +312,7 @@ def _parse_header(line: str, records: int) -> tuple[int, int, int]:
     header = line.split()
     if len(header) != 5 or header[0] != DATASET_HEADER or header[1] != "v1":
         raise FormatError(f"line 1: bad header {line!r}")
-    n = _header_field(header[2], "n")
-    d = _header_field(header[3], "d")
-    k = _header_field(header[4], "k")
+    n, d, k = (_header_field(token, key) for token, key in zip(header[2:], "ndk"))
     if n < 1 or d < 1 or k < 2:
         raise FormatError(f"line 1: header sizes out of range (n={n} d={d} k={k})")
     if records != n:
@@ -323,46 +325,38 @@ def load_dataset(path) -> NoisyDataset:
 
     Format: header ``protosemi-dataset v1 n=<n> d=<D> k=<K>`` followed by
     n records of D floats, the working label, and the true label, all
-    whitespace separated.  Raises :class:`FormatError` naming the
-    offending line on any malformed content: the records are parsed in
-    one array pass, and line by line only when that pass fails.
-
-    A plain file (see ``_plain_line_count``) streams into the array
-    pass.  Any other file, and any file that pass declines, is read as
-    text and split into lines, so every file reads as it would as text.
+    whitespace separated; trailing blank lines are ignored.  A malformed
+    file is a :class:`FormatError` naming its line.  One scan checks the
+    bytes (see ``read_lines``) and counts the lines; the file then streams
+    into one array pass, and the line parser reads it only if that fails.
     """
-    arrays = None
-    count = _plain_line_count(path)
-    if count:  # None (not plain) and 0 (empty) take the text path, which reports them
-        with open(path, encoding="ascii", newline="\n") as fh:
-            n, d, k = _parse_header(fh.readline().removesuffix("\n"), count - 1)
-            arrays = _parse_records_at_once(fh, d, k, n)
+    count = _line_count(path)
+    if not count:
+        raise FormatError(f"{path}: empty file")
+    # universal newlines: a CRLF file streams as its LF copy would
+    with open(path, encoding="ascii", newline=None) as fh:
+        n, d, k = _parse_header(fh.readline().removesuffix("\n"), count - 1)
+        arrays = _parse_records_at_once(fh, d, k, n)
     if arrays is None:
-        lines = read_ascii(path).splitlines()
-        while lines and not lines[-1].strip():
-            lines.pop()
-        if not lines:
-            raise FormatError(f"{path}: empty file")
-        n, d, k = _parse_header(lines[0], len(lines) - 1)
-        arrays = _parse_records_at_once(lines[1:], d, k, n)
-        if arrays is None:
-            arrays = _parse_records_by_line(lines[1:], d, k)
+        lines = read_lines(path)
+        next(lines)  # the header
+        arrays = _parse_records_by_line(lines, d, k, n)
     try:
         return NoisyDataset(*arrays, num_classes=k)
     except ParameterError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
 
-def _parse_records_at_once(records, d: int, k: int, n: int):
+def _parse_records_at_once(fh, d: int, k: int, n: int):
     """(features, working, true) of n records from one ``np.loadtxt`` pass, or None.
 
-    ``records`` is a list of lines or a text file positioned at the
-    first record.  None when the records hold anything the line parser
-    might read differently or reject: a token loadtxt refuses, a blank
-    line (which loadtxt skips), a non-finite feature or a label out of
-    range.  Both parse floats with ``PyOS_string_to_double`` and split
-    on the same whitespace, so when this accepts, the line parser gives
-    equal arrays.
+    ``fh`` is a text file positioned at the first record.  None when
+    the records hold anything the line parser might read differently or
+    reject: a token loadtxt refuses, a blank line (which loadtxt skips),
+    a non-finite feature or a label out of range.  Both parse floats with
+    ``PyOS_string_to_double`` and split at spaces and tabs, the only
+    whitespace ``read_lines`` lets through, so when this accepts, the
+    line parser gives equal arrays.
     """
     dtype = np.dtype([("features", np.float64, (d,)),
                       ("working", np.int64), ("true", np.int64)])
@@ -370,7 +364,7 @@ def _parse_records_at_once(records, d: int, k: int, n: int):
         with warnings.catch_warnings():
             # numpy before 2.0 reads a label such as "3.0" with a DeprecationWarning
             warnings.simplefilter("error")
-            rows = np.loadtxt(records, dtype=dtype, comments=None, ndmin=1)
+            rows = np.loadtxt(fh, dtype=dtype, comments=None, ndmin=1)
     except (ValueError, Warning):
         return None
     if rows.shape != (n,) or not np.isfinite(rows["features"]).all():
@@ -381,13 +375,12 @@ def _parse_records_at_once(records, d: int, k: int, n: int):
     return rows["features"].copy(), working, true
 
 
-def _parse_records_by_line(records: list[str], d: int, k: int):
-    """(features, working, true), one token at a time; the FormatError names the line."""
-    n = len(records)
+def _parse_records_by_line(lines, d: int, k: int, n: int):
+    """(features, working, true) of the n records ``lines`` yields, one token at a time."""
     features = np.empty((n, d), dtype=np.float64)
     working = np.empty(n, dtype=np.int64)
     true = np.empty(n, dtype=np.int64)
-    for i, line in enumerate(records):
+    for i, line in zip(range(n), lines):
         lineno = i + 2
         parts = line.split()
         if len(parts) != d + 2:
@@ -402,11 +395,8 @@ def _parse_records_by_line(records: list[str], d: int, k: int):
             w, t = int(parts[d]), int(parts[d + 1])
         except ValueError:
             raise FormatError(f"line {lineno}: unparsable label") from None
-        if not 0 <= w < k:
-            raise FormatError(f"line {lineno}: working label {w} out of range for k={k}")
-        if not 0 <= t < k:
-            raise FormatError(f"line {lineno}: true label {t} out of range for k={k}")
-        features[i] = row
-        working[i] = w
-        true[i] = t
+        for name, label in (("working", w), ("true", t)):
+            if not 0 <= label < k:
+                raise FormatError(f"line {lineno}: {name} label {label} out of range for k={k}")
+        features[i], working[i], true[i] = row, w, t
     return features, working, true

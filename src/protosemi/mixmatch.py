@@ -22,9 +22,9 @@ from .net import (
     cosine_lr,
     cross_entropy_grads,
     epoch_shuffle_rng,
-    is_int,
     is_real,
     one_hot,
+    require_int,
     softmax,
 )
 
@@ -42,8 +42,7 @@ class SemiConfig:
     aug_sigma: float = 0.1
 
     def __post_init__(self):
-        if not is_int(self.k_aug) or self.k_aug < 1:
-            raise ParameterError(f"k_aug must be an integer >= 1, got {self.k_aug}")
+        require_int("k_aug", self.k_aug, 1)
         if not is_real(self.temperature) or not 0 < self.temperature < np.inf:
             raise ParameterError(f"temperature must be finite and positive, got {self.temperature}")
         if not is_real(self.mix_alpha) or not 0 < self.mix_alpha < np.inf:

@@ -32,6 +32,18 @@ def is_real(value) -> bool:
     return is_int(value) or isinstance(value, (float, np.floating))
 
 
+def require_int(name: str, value, low: int) -> int:
+    """``value`` as an int; a ParameterError unless it is an integer >= ``low``."""
+    if not is_int(value) or value < low:
+        raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def seeded_rng(seed) -> np.random.Generator:
+    """numpy's generator for ``seed``; numpy seeds only from integers >= 0."""
+    return np.random.default_rng(require_int("seed", seed, 0))
+
+
 @dataclass
 class TrainConfig:
     """Supervised SGD settings; the learning rate follows a cosine decay."""
@@ -45,10 +57,7 @@ class TrainConfig:
     def __post_init__(self):
         # numpy seeds its generators only from nonnegative integers
         for name, low in (("total_epochs", 1), ("batch_size", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not is_int(value) or value < low:
-                raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
-            setattr(self, name, int(value))
+            setattr(self, name, require_int(name, getattr(self, name), low))
         if not is_real(self.base_lr) or not 0 <= self.base_lr < math.inf:
             raise ParameterError("base_lr must be finite and nonnegative")
         if not is_real(self.weight_decay) or not 0 <= self.weight_decay < math.inf:
@@ -185,7 +194,7 @@ def init_network(layer_dims, seed: int) -> Network:
         raise ParameterError("need at least one hidden layer (layer_dims of length >= 3)")
     if any(d < 1 for d in dims):
         raise ParameterError("every layer dimension must be at least 1")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         scale = 1.0 / math.sqrt(fan_in)

@@ -14,16 +14,17 @@ from __future__ import annotations
 
 import dataclasses
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import takewhile, zip_longest
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import NoisyDataset, read_ascii
+from .data import NoisyDataset, read_lines
 from .errors import DegenerateClassError, FormatError, ParameterError
 from .mixmatch import SemiConfig, semi_train_epoch
-from .net import Network, TrainConfig, init_network, is_int, is_real, train_epoch
+from .net import Network, TrainConfig, init_network, is_int, is_real, require_int, train_epoch
 from .select import (
     CorrectionRecord,
     StatsRow,
@@ -70,13 +71,24 @@ class ConfigField(NamedTuple):
             raise ParameterError(f"{self.key} has the wrong type: {value!r}")
         return tuple(map(int, value)) if self.parse is _parse_dims else self.parse(value)
 
-    def read(self, values: dict, source):
-        """This key's value parsed from config-file text; unparsable is a FormatError."""
+    def read(self, values: dict):
+        """This key's value parsed from config-file text."""
         try:
             return self.parse(values[self.key])
         except ValueError:
-            raise FormatError(f"{source}: key {self.key!r} has unparsable value "
-                              f"{values[self.key]!r}") from None
+            raise ParameterError(f"key {self.key!r} has unparsable value "
+                                 f"{values[self.key]!r}") from None
+
+
+@contextmanager
+def naming_key_lines(source, linenos: dict[str, int]):
+    """Re-raise a ParameterError as a FormatError at the line of the first key it names."""
+    try:
+        yield
+    except ParameterError as err:
+        lineno = next((linenos[w] for w in re.findall(r"\w+", str(err)) if w in linenos), None)
+        where = source if lineno is None else f"{source} line {lineno}"
+        raise FormatError(f"{where}: {err}") from None
 
 
 # the run-config schema, in report-header order: it drives config-file
@@ -125,10 +137,8 @@ class PipelineConfig:
                 object.__setattr__(self, f.key, f.normal(getattr(self, f.key)))
         if len(self.hidden_dims) < 1 or min(self.hidden_dims) < 1:
             raise ParameterError(f"hidden_dims must be positive ints, got {self.hidden_dims}")
-        if self.warmup_epochs < 1:
-            raise ParameterError("warmup_epochs must be at least 1")
-        if self.main_epochs < 0:
-            raise ParameterError("main_epochs must be nonnegative")
+        require_int("warmup_epochs", self.warmup_epochs, 1)
+        require_int("main_epochs", self.main_epochs, 0)
         if not 0 <= self.proto_split_epochs <= self.main_epochs:
             raise ParameterError(
                 f"proto_split_epochs must lie in [0, main_epochs], got "
@@ -160,14 +170,14 @@ class PipelineConfig:
             (self.warmup_epochs + i, "semi", i < proto_epochs) for i in range(main_epochs)]
 
     @classmethod
-    def from_fields(cls, values: dict, source) -> "PipelineConfig":
+    def from_fields(cls, values: dict) -> "PipelineConfig":
         """Build from config-file text keyed as in CONFIG_FIELDS; other keys are ignored."""
         missing = [f.key for f in CONFIG_FIELDS if f.key not in values]
         if missing:
-            raise FormatError(f"{source}: missing required key {', '.join(map(repr, missing))}")
+            raise ParameterError(f"missing required key {', '.join(map(repr, missing))}")
         parts = {None: {}, "thresholds": {}, "train": {}, "semi": {}}
         for f in CONFIG_FIELDS:
-            parts[f.part][f.key] = f.read(values, source)
+            parts[f.part][f.key] = f.read(values)
         return cls(
             thresholds=Thresholds(**parts["thresholds"]),
             train=TrainConfig(total_epochs=1, **parts["train"]),  # __post_init__ sets it
@@ -381,16 +391,13 @@ def parse_report(path) -> RunReport:
 
     Rows follow ``PipelineConfig.schedule``; a FormatError names the bad line.
     """
-    lines = read_ascii(path).split("\n")
+    # split at "\n" alone, so that the comparison below is byte-exact
+    lines = "".join(read_lines(path)).split("\n")
     head = list(takewhile(bool, lines))  # header line, variant, config echo, summary
     values = dict(line.partition("=")[::2] for line in head[1:])
-    try:
-        config = PipelineConfig.from_fields(values, path)
+    with naming_key_lines(path, {line.partition("=")[0]: n for n, line in enumerate(head[1:], 2)}):
+        config = PipelineConfig.from_fields(values)
         schedule = config.schedule(values.get("variant"))
-    except ParameterError as err:  # name the first line whose key the message names
-        lineno = next((n for n, line in enumerate(head[1:], 2)
-                       if line.partition("=")[0] in re.findall(r"\w+", str(err))), 2)
-        raise FormatError(f"{path} line {lineno}: {err}") from None
     epochs, corrections, ends = [], [], []  # ends: per block, the line after its rows
     fixed = [epoch for epoch, _, repartitions in schedule if repartitions]
     at = len(head) + 3  # past the blank line, the block title and its column names

@@ -21,12 +21,11 @@ labels are written back to the dataset so later epochs see them.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NoisyDataset, read_ascii
+from .data import NoisyDataset, read_lines
 from .errors import (
     DegenerateClassError,
     DegenerateGeometryError,
@@ -259,44 +258,43 @@ def load_correction_log(path) -> list[CorrectionRecord]:
     """Read a CSV written by :func:`save_correction_log`."""
     records: list[CorrectionRecord] = []
     first_line: dict[int, int] = {}  # index -> line that listed it
-    with io.StringIO(read_ascii(path), newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(LOG_COLUMNS):
-            raise FormatError(f"{path}: bad header {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(LOG_COLUMNS):
-                raise FormatError(f"line {lineno}: expected {len(LOG_COLUMNS)} fields")
-            try:
-                rec = CorrectionRecord(
-                    index=int(row[0]),
-                    d_max=float(row[1]),
-                    proto_label=int(row[2]),
-                    prior_label=int(row[3]),
-                    zone=row[4],
-                    action=row[5],
-                    p_correct=float(row[6]),
-                )
-            except ValueError:
-                raise FormatError(f"line {lineno}: unparsable field") from None
-            # only the outside zone leaves a sample unmoved
-            if (rec.zone not in ZONES or rec.action not in ACTIONS
-                    or (rec.zone == "outside") != (rec.action == "unmoved")):
-                raise FormatError(f"line {lineno}: zone {rec.zone} cannot take action {rec.action}")
-            if not (0.0 <= rec.p_correct <= 1.0 and -1.0 <= rec.d_max <= 1.0):
-                raise FormatError(f"line {lineno}: p_correct or d_max out of range")
-            # repartition corrects exactly when the labels differ, except
-            # in the ring, where a differing label may also be retained
-            if rec.action == "corrected" and rec.proto_label == rec.prior_label:
-                raise FormatError(f"line {lineno}: corrected row keeps its label {rec.prior_label}")
-            if (rec.zone, rec.action) == ("small", "retained") and rec.proto_label != rec.prior_label:
-                raise FormatError(f"line {lineno}: small-circle row retains a label "
-                                  f"that differs from its prototype's")
-            if rec.index < 0:
-                raise FormatError(f"line {lineno}: negative index")
-            if rec.index in first_line:
-                raise FormatError(f"line {lineno}: index {rec.index} repeats line "
-                                  f"{first_line[rec.index]}")
-            first_line[rec.index] = lineno
-            records.append(rec)
+    reader = csv.reader(read_lines(path))
+    header = next(reader, None)
+    if header != list(LOG_COLUMNS):
+        raise FormatError(f"{path}: bad header {header!r}")
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(LOG_COLUMNS):
+            raise FormatError(f"line {lineno}: expected {len(LOG_COLUMNS)} fields")
+        try:
+            rec = CorrectionRecord(
+                index=int(row[0]),
+                d_max=float(row[1]),
+                proto_label=int(row[2]),
+                prior_label=int(row[3]),
+                zone=row[4],
+                action=row[5],
+                p_correct=float(row[6]),
+            )
+        except ValueError:
+            raise FormatError(f"line {lineno}: unparsable field") from None
+        # only the outside zone leaves a sample unmoved
+        if (rec.zone not in ZONES or rec.action not in ACTIONS
+                or (rec.zone == "outside") != (rec.action == "unmoved")):
+            raise FormatError(f"line {lineno}: zone {rec.zone} cannot take action {rec.action}")
+        if not (0.0 <= rec.p_correct <= 1.0 and -1.0 <= rec.d_max <= 1.0):
+            raise FormatError(f"line {lineno}: p_correct or d_max out of range")
+        # repartition corrects exactly when the labels differ, except
+        # in the ring, where a differing label may also be retained
+        if rec.action == "corrected" and rec.proto_label == rec.prior_label:
+            raise FormatError(f"line {lineno}: corrected row keeps its label {rec.prior_label}")
+        if (rec.zone, rec.action) == ("small", "retained") and rec.proto_label != rec.prior_label:
+            raise FormatError(f"line {lineno}: small-circle row retains a label "
+                              f"that differs from its prototype's")
+        if rec.index < 0:
+            raise FormatError(f"line {lineno}: negative index")
+        if rec.index in first_line:
+            raise FormatError(f"line {lineno}: index {rec.index} repeats line "
+                              f"{first_line[rec.index]}")
+        first_line[rec.index] = lineno
+        records.append(rec)
     return records

@@ -9,7 +9,7 @@ from protosemi.cli import main, parse_config_file
 from protosemi.data import load_dataset, round_half_away, save_dataset, NoisyDataset
 from protosemi.errors import FormatError
 from protosemi.net import init_network
-from protosemi.pipeline import parse_report, run_with_artifacts
+from protosemi.pipeline import parse_report, run_with_artifacts, write_report
 from protosemi.select import (
     CorrectionRecord,
     correction_stats,
@@ -326,11 +326,23 @@ class TestConfigFile:
         dict(hidden_dims="16,,8"),
         dict(eval_split="0.0"),          # provenance keys are range-checked
         dict(eval_split="1.0"),
+        dict(noise_seed="x"),
+        dict(warmup_epochs="0"),         # PipelineConfig and its parts check these
+        dict(proto_split_epochs="4"),
+        dict(alpha="0.2"),               # alpha no longer above beta
+        dict(seed="-1"),
+        dict(k_aug="0"),
     ])
     def test_malformed_configs(self, tmp_path, overrides):
         path = write_config(tmp_path / "run.cfg", **overrides)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError) as info:
             parse_config_file(path)
+        # the error names the line of the key it is about; write_config
+        # writes a comment line, then the keys in CONFIG_DEFAULTS order
+        (key, value), = overrides.items()
+        keys = [k for k, v in {**CONFIG_DEFAULTS, **overrides}.items() if v is not None]
+        where = path if value is None else f"{path} line {keys.index(key) + 2}"
+        assert str(info.value).startswith(f"{where}: ")
 
     def test_missing_keys_named_in_table_order(self, tmp_path):
         path = write_config(tmp_path / "run.cfg", seed=None, alpha=None)
@@ -481,3 +493,39 @@ class TestStats:
         code = main(["stats", "--log", str(log_path), "--data", str(data_path)])
         assert code == 2
         assert capsys.readouterr().err == f"error: {log_path} line 2: non-ASCII byte 0xe4\n"
+
+
+def _write_report(path, ds):
+    config = parse_config_file(write_config(path.with_suffix(".cfg")))
+    write_report(run_with_artifacts(ds, ds, config, "no_semi").report, path)
+
+
+# each text file this package reads: a writer, then its reader
+_TEXT_FILES = {
+    "dataset": (lambda path, ds: save_dataset(ds, path), load_dataset),
+    "config": (lambda path, ds: write_config(path), parse_config_file),
+    "correction_log": (lambda path, ds: save_correction_log(
+        synthetic_small_circle_log(ds, corrected=3, right=2), ds, path), load_correction_log),
+    "report": (_write_report, parse_report),
+}
+
+
+@pytest.mark.parametrize("bad", [b"\x00", b"\x0b", b"\x0c", b"\x1f", b"\r", b"\xe4"],
+                         ids=["nul", "vertical_tab", "form_feed", "unit_separator", "lone_cr",
+                              "non_ascii"])
+@pytest.mark.parametrize("kind", _TEXT_FILES)
+def test_every_reader_names_the_line_of_a_bad_byte(tmp_path, kind, bad):
+    # one rule for every text file: ASCII, each line ends at "\n" or
+    # "\r\n", and no control byte but tab
+    write, read = _TEXT_FILES[kind]
+    ds = three_class_dataset()
+    path = tmp_path / f"file.{kind}"
+    write(path, ds)
+    read(path)
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2][:1] + bad + lines[2][1:]
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(FormatError) as info:
+        read(path)
+    byte = "non-ASCII" if bad[0] > 0x7f else "control"
+    assert str(info.value) == f"{path} line 3: {byte} byte 0x{bad[0]:02x}"

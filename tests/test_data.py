@@ -1,5 +1,6 @@
 """Dataset generation, noise injection, and serialization."""
 
+import io
 import tracemalloc
 from types import SimpleNamespace
 
@@ -18,11 +19,13 @@ from protosemi.data import (
     inject_ambiguity_noise,
     inject_factual_noise,
     load_dataset,
+    read_lines,
     round_half_away,
     save_dataset,
     split_heldout,
 )
 from protosemi.errors import FormatError, ParameterError
+from protosemi.net import init_network
 
 
 def test_round_half_away_known_values():
@@ -70,6 +73,9 @@ class TestGenerateBlobs:
     @pytest.mark.parametrize("bad", [
         dict(num_classes=1), dict(per_class=0), dict(dim=1),
         dict(separation=0.0), dict(spread=0.0), dict(separation=-1.0),
+        # sizes are integers and scales reals; a bool is neither
+        dict(per_class=2.5), dict(num_classes=3.0), dict(dim=True),
+        dict(separation="4.0"), dict(spread=True),
     ])
     def test_invalid_sizes_rejected(self, bad):
         kwargs = dict(num_classes=3, per_class=5, dim=4, separation=4.0, spread=1.0, seed=0)
@@ -113,6 +119,9 @@ class TestFactualNoise:
             inject_factual_noise(ds, 1.2, seed=0)
         with pytest.raises(ParameterError):
             inject_factual_noise(ds, -0.1, seed=0)
+        for rate in (True, "0.5", None):  # True would flip every label
+            with pytest.raises(ParameterError, match="rate must lie in"):
+                inject_factual_noise(ds, rate, seed=0)
 
     def test_requires_clean_input(self):
         ds = generate_blobs(2, 5, 3, 4.0, 1.0, seed=0)
@@ -196,6 +205,8 @@ class TestAmbiguityNoise:
         ds = generate_blobs(2, 5, 3, 4.0, 1.0, seed=0)
         with pytest.raises(ParameterError):
             inject_ambiguity_noise(ds, 1.0001, seed=0)
+        with pytest.raises(ParameterError, match="rate must lie in"):
+            inject_ambiguity_noise(ds, True, seed=0)
 
 
 class TestSplitHeldout:
@@ -215,7 +226,7 @@ class TestSplitHeldout:
 
     def test_bad_fraction(self):
         ds = generate_blobs(2, 5, 3, 4.0, 1.0, seed=0)
-        for frac in (0.0, 1.0, -0.2):
+        for frac in (0.0, 1.0, -0.2, "0.2"):
             with pytest.raises(ParameterError):
                 split_heldout(ds, frac, seed=0)
 
@@ -225,10 +236,14 @@ class TestSplitHeldout:
     lambda seed: inject_factual_noise(generate_blobs(2, 5, 3, 4.0, 1.0, 0), 0.2, seed),
     lambda seed: inject_ambiguity_noise(generate_blobs(2, 5, 3, 4.0, 1.0, 0), 0.2, seed),
     lambda seed: split_heldout(generate_blobs(2, 5, 3, 4.0, 1.0, 0), 0.2, seed),
-], ids=["generate_blobs", "inject_factual_noise", "inject_ambiguity_noise", "split_heldout"])
+    lambda seed: init_network([3, 4, 2], seed),
+], ids=["generate_blobs", "inject_factual_noise", "inject_ambiguity_noise", "split_heldout",
+        "init_network"])
 def test_negative_seed_is_parameter_error(draw):
-    with pytest.raises(ParameterError, match=r"^seed must be an integer >= 0, got -1$"):
-        draw(-1)
+    # a bool is not an integer seed, as in TrainConfig
+    for seed in (-1, True, 1.0):
+        with pytest.raises(ParameterError, match=rf"^seed must be an integer >= 0, got {seed}$"):
+            draw(seed)
 
 
 class TestDatasetValidation:
@@ -353,8 +368,9 @@ class TestSerialization:
 
 
 # Loader table: record texts for a d=2, k=3 file with n=3 records.  The
-# second record sits on line 3.  Rejected files raise this exact text;
-# accepted ones must equal a per-token float()/int() reading.
+# second record sits on line 3.  Rejected files raise this exact text,
+# with {path} the file's path; accepted ones must equal a per-token
+# float()/int() reading.
 _HEADER = "protosemi-dataset v1 n=3 d=2 k=3"
 _GOOD = ["0.5 -1.25 0 0", "1.5 2.0 1 1", "-0.75 3.0 2 2"]
 
@@ -383,8 +399,9 @@ _REJECTED = [
     ("comment_tail", _with_line3("1.5 2.0 1 1 # note"), "line 3: expected 4 fields, got 6"),
     ("comment_glued", _with_line3("1.5 2.0 1 1#note"), "line 3: unparsable label"),
     ("comment_line", _with_line3("#1.5 2.0 1 1"), "line 3: unparsable feature value"),
-    ("vertical_tab", _with_line3("1.5 2.0\x0b1 1"), "expected 3 records, found 4"),
-    ("lone_cr", _with_line3("1.5 2.0\r1 1"), "expected 3 records, found 4"),
+    ("vertical_tab", _with_line3("1.5 2.0\x0b1 1"), "{path} line 3: control byte 0x0b"),
+    ("lone_cr", _with_line3("1.5 2.0\r1 1"), "{path} line 3: control byte 0x0d"),
+    ("unit_separator", _with_line3("1.5\x1f2.0 1 1"), "{path} line 3: control byte 0x1f"),
     ("errors_in_line_order", [_GOOD[0], "1.5 2.0 1 9", "nan 3.0 2 2"],
      "line 3: true label 9 out of range for k=3"),
 ]
@@ -392,7 +409,6 @@ _REJECTED = [
 _ACCEPTED = [
     ("plain", _GOOD),
     ("tabs", _with_line3("1.5\t2.0\t1\t1")),
-    ("unit_separator", _with_line3("1.5\x1f2.0 1 1")),
     ("padded", _with_line3("  1.5   2.0 1 1  ")),
     ("label_+1", _with_line3("1.5 2.0 +1 1")),
     ("label_01", _with_line3("1.5 2.0 01 1")),
@@ -407,7 +423,7 @@ _ACCEPTED = [
 # tokens for generated records: valid and invalid floats and labels
 _TOKENS = ["0", "1", "2", "-0", "+1", "01", "1.5", "-.5", "5e-324", "1e999", "nan",
            "-inf", "3.0", "3e0", "1_0", "#", "x", "0x1", "99999999999999999999", "-1"]
-_SEPARATORS = [" ", "  ", "\t", "\x1f"]
+_SEPARATORS = [" ", "  ", "\t"]
 # most draws are records of four tokens both parsers accept, so that
 # generated records often get past the array pass
 _GOOD_TOKEN = st.sampled_from(["0", "1", "2", "-0", "+1", "01", "1.5", "5e-324"])
@@ -434,7 +450,7 @@ class TestLoaderTable:
         path.write_bytes(("\n".join([_HEADER, *records]) + "\n").encode("ascii"))
         with pytest.raises(FormatError) as info:
             load_dataset(path)
-        assert str(info.value) == message
+        assert str(info.value) == message.format(path=path)
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
     @pytest.mark.parametrize("records", [c[1] for c in _ACCEPTED],
@@ -474,10 +490,14 @@ class TestLoaderTable:
     def test_saved_files_take_the_array_pass(self, tmp_path):
         ds = inject_factual_noise(generate_blobs(4, 30, 5, 5.0, 1.0, seed=8), 0.3, seed=8)
         save_dataset(ds, tmp_path / "ds.txt")
-        records = (tmp_path / "ds.txt").read_text().splitlines()[1:]
-        at_once = _parse_records_at_once(records, ds.dim, ds.num_classes, len(records))
+        with open(tmp_path / "ds.txt", encoding="ascii") as fh:
+            fh.readline()
+            at_once = _parse_records_at_once(fh, ds.dim, ds.num_classes, ds.n)
         assert at_once is not None
-        for got, want in zip(at_once, _parse_records_by_line(records, ds.dim, ds.num_classes)):
+        records = read_lines(tmp_path / "ds.txt")
+        next(records)
+        by_line = _parse_records_by_line(records, ds.dim, ds.num_classes, ds.n)
+        for got, want in zip(at_once, by_line):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @given(st.lists(
@@ -487,10 +507,10 @@ class TestLoaderTable:
     @settings(max_examples=300, deadline=None)
     def test_array_pass_accepts_only_what_the_line_parser_reads_alike(self, lines):
         records = [pad + sep.join(tokens) + pad for tokens, sep, pad in lines]
-        at_once = _parse_records_at_once(records, 2, 3, len(records))
+        at_once = _parse_records_at_once(io.StringIO("\n".join(records)), 2, 3, len(records))
         if at_once is None:
             return
-        by_line = _parse_records_by_line(records, 2, 3)  # must not raise
+        by_line = _parse_records_by_line(records, 2, 3, len(records))  # must not raise
         for got, want in zip(at_once, by_line):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -504,11 +524,20 @@ def _load_outcome(path):
     return ds.features.tobytes(), ds.working_labels.tobytes(), ds.true_labels.tobytes()
 
 
+def _outcome(read, path):
+    """What ``read(path)`` returns, or the text of its FormatError."""
+    try:
+        return read(path)
+    except FormatError as exc:
+        return str(exc)
+
+
 class TestPlainScan:
     def _table_files(self, tmp_path):
         texts = [("\n".join([_HEADER, *records]) + "\n") for _, records, _ in _REJECTED]
         texts += [ending.join([_HEADER, *records]) + ending + ending
                   for _, records in _ACCEPTED for ending in ("\n", "\r\n")]
+        texts += ["", "\n", "a\r\nb", "a\r", "\r\n\r\n", "tab\tand\x7f"]
         paths = []
         for i, text in enumerate(texts):
             paths.append(tmp_path / f"{i}.ds")
@@ -521,26 +550,29 @@ class TestPlainScan:
     @pytest.mark.parametrize("chunk", [1, 2, 5])
     def test_small_chunks_read_alike(self, tmp_path, monkeypatch, chunk):
         paths = self._table_files(tmp_path)
-        counts = [data._plain_line_count(p) for p in paths]
-        outcomes = [_load_outcome(p) for p in paths]
-        assert counts[-1] == 61  # a saved file is plain
+        readers = [data._line_count, lambda p: list(read_lines(p)), _load_outcome]
+        outcomes = [[_outcome(read, p) for p in paths] for read in readers]
+        assert outcomes[0][-1] == 61  # a saved file passes the scan
+        for path, lines in zip(paths, outcomes[1]):
+            if isinstance(lines, list):  # the lines, each with its ending, are the file
+                assert "".join(lines).encode("ascii") == path.read_bytes()
+                assert all(line.endswith("\n") for line in lines[:-1])
         monkeypatch.setattr(data, "_SCAN_CHUNK", chunk)
-        assert [data._plain_line_count(p) for p in paths] == counts
-        assert [_load_outcome(p) for p in paths] == outcomes
+        assert [[_outcome(read, p) for p in paths] for read in readers] == outcomes
 
     @pytest.mark.parametrize("chunk", [5, None])
     def test_line_break_past_the_first_chunk(self, tmp_path, monkeypatch, chunk):
-        # the only byte that splitlines breaks at, other than "\n", is in
-        # the last record, past the first chunk at either size
+        # the form feed, a line break to str.splitlines and a control byte
+        # here, is in the last record, past the first chunk at either size
         if chunk:
             monkeypatch.setattr(data, "_SCAN_CHUNK", chunk)
         records = [_GOOD[0] + " " * data._SCAN_CHUNK, _GOOD[1], "-0.75 3.0\x0c2 2"]
         path = tmp_path / "ff.ds"
         path.write_bytes(("\n".join([_HEADER, *records]) + "\n").encode("ascii"))
-        assert data._plain_line_count(path) is None
-        with pytest.raises(FormatError) as info:
-            load_dataset(path)
-        assert str(info.value) == "expected 3 records, found 4"
+        for read in (data._line_count, lambda p: list(read_lines(p)), load_dataset):
+            with pytest.raises(FormatError) as info:
+                read(path)
+            assert str(info.value) == f"{path} line 4: control byte 0x0c"
 
 
 def test_load_peak_memory_is_bounded(tmp_path):
@@ -560,5 +592,27 @@ def test_load_peak_memory_is_bounded(tmp_path):
     finally:
         if started:
             tracemalloc.stop()
+    held = back.features.nbytes + back.working_labels.nbytes + back.true_labels.nbytes
+    assert peak <= 2.5 * held
+
+
+def test_crlf_load_peak_memory_is_bounded(tmp_path):
+    # a CRLF file streams through universal newlines, as an LF one does
+    ds = inject_factual_noise(generate_blobs(4, 2500, 16, 6.0, 1.0, seed=1), 0.3, seed=1)
+    path = tmp_path / "10k.ds"
+    save_dataset(ds, path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        back = load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert same_arrays(back, ds)
     held = back.features.nbytes + back.working_labels.nbytes + back.true_labels.nbytes
     assert peak <= 2.5 * held
