@@ -401,7 +401,6 @@ _REJECTED = [
     ("comment_line", _with_line3("#1.5 2.0 1 1"), "line 3: unparsable feature value"),
     ("vertical_tab", _with_line3("1.5 2.0\x0b1 1"), "{path} line 3: control byte 0x0b"),
     ("lone_cr", _with_line3("1.5 2.0\r1 1"), "{path} line 3: control byte 0x0d"),
-    ("unit_separator", _with_line3("1.5\x1f2.0 1 1"), "{path} line 3: control byte 0x1f"),
     ("errors_in_line_order", [_GOOD[0], "1.5 2.0 1 9", "nan 3.0 2 2"],
      "line 3: true label 9 out of range for k=3"),
 ]
@@ -451,6 +450,17 @@ class TestLoaderTable:
         with pytest.raises(FormatError) as info:
             load_dataset(path)
         assert str(info.value) == message.format(path=path)
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("records", [_with_line3("1.5\x1f2.0 1 1")], ids=["unit_separator"])
+    def test_rejected_separator_byte(self, tmp_path, records, ending):
+        # str.split() treats \x1f as whitespace; the file rule rejects it
+        # with either line ending
+        path = tmp_path / "bad.ds"
+        path.write_bytes((ending.join([_HEADER, *records]) + ending).encode("ascii"))
+        with pytest.raises(FormatError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path} line 3: control byte 0x1f"
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
     @pytest.mark.parametrize("records", [c[1] for c in _ACCEPTED],
