@@ -10,9 +10,6 @@ the final scoreboard.
 
 from protosemi import (
     PipelineConfig,
-    SemiConfig,
-    Thresholds,
-    TrainConfig,
     generate_blobs,
     inject_factual_noise,
     run_with_artifacts,
@@ -32,10 +29,16 @@ config = PipelineConfig(
     warmup_epochs=2,
     proto_split_epochs=10,
     main_epochs=18,
-    thresholds=Thresholds(alpha=0.95, beta=0.5),
-    train=TrainConfig(base_lr=0.07, total_epochs=1, batch_size=224, seed=0),
-    semi=SemiConfig(k_aug=2, temperature=0.5, mix_alpha=0.75,
-                    lambda_u=1.0, aug_sigma=0.1),
+    alpha=0.95,
+    beta=0.5,
+    base_lr=0.07,
+    batch_size=224,
+    weight_decay=5e-4,
+    k_aug=2,
+    temperature=0.5,
+    mix_alpha=0.75,
+    lambda_u=1.0,
+    aug_sigma=0.1,
     seed=SEED,
 )
 

@@ -23,7 +23,6 @@ from .errors import (
     ParameterError,
     ProtoSemiError,
 )
-from .mixmatch import SemiConfig
 from .net import TrainConfig, init_network, train_epoch
 from .pipeline import PipelineConfig, repartition_rng, run_with_artifacts
 from .select import (
@@ -38,10 +37,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DegenerateClassError", "DegenerateGeometryError", "FormatError",
-    "ParameterError", "PipelineConfig", "ProtoSemiError", "SemiConfig",
-    "Thresholds", "TrainConfig", "build_prototypes", "correction_stats",
-    "generate_blobs", "init_network", "inject_ambiguity_noise",
-    "inject_factual_noise", "repartition", "repartition_rng",
-    "run_with_artifacts", "save_dataset", "split_by_agreement",
-    "split_heldout", "train_epoch",
+    "ParameterError", "PipelineConfig", "ProtoSemiError", "Thresholds",
+    "TrainConfig", "build_prototypes", "correction_stats", "generate_blobs",
+    "init_network", "inject_ambiguity_noise", "inject_factual_noise",
+    "repartition", "repartition_rng", "run_with_artifacts", "save_dataset",
+    "split_by_agreement", "split_heldout", "train_epoch",
 ]

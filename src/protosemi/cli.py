@@ -117,7 +117,7 @@ def _cmd_train(args) -> int:
     if report.corrections:
         write_stats_csv(report.corrections, f"{args.report}.stats.csv")
 
-    print(f"variant={report.variant} seed={report.seed} epochs={len(report.epochs)}")
+    print(f"variant={report.variant} seed={report.config.seed} epochs={len(report.epochs)}")
     print(f"best accuracy  {report.best_accuracy:.4f} (epoch {report.best_epoch})")
     print(f"last accuracy  {report.final_accuracy:.4f}")
     if report.corrections:

@@ -242,14 +242,14 @@ def save_dataset(ds: NoisyDataset, path) -> None:
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _header_field(token: str, key: str) -> int:
+def _header_field(path, token: str, key: str) -> int:
     prefix = key + "="
     if not token.startswith(prefix):
-        raise FormatError(f"header field {token!r} should look like {key}=<int>")
+        raise FormatError(f"{path} line 1: header field {token!r} should look like {key}=<int>")
     try:
         return int(token[len(prefix):])
     except ValueError:
-        raise FormatError(f"header field {token!r} is not an integer") from None
+        raise FormatError(f"{path} line 1: header field {token!r} is not an integer") from None
 
 
 # the bytes that read_lines forbids, and the first byte that breaks its rule
@@ -307,16 +307,16 @@ def _line_count(path) -> int:
     return last
 
 
-def _parse_header(line: str, records: int) -> tuple[int, int, int]:
-    """(n, d, k) from the first line of a file with ``records`` lines after it."""
+def _parse_header(path, line: str, records: int) -> tuple[int, int, int]:
+    """(n, d, k) from the first line of file ``path`` with ``records`` lines after it."""
     header = line.split()
     if len(header) != 5 or header[0] != DATASET_HEADER or header[1] != "v1":
-        raise FormatError(f"line 1: bad header {line!r}")
-    n, d, k = (_header_field(token, key) for token, key in zip(header[2:], "ndk"))
+        raise FormatError(f"{path} line 1: bad header {line!r}")
+    n, d, k = (_header_field(path, token, key) for token, key in zip(header[2:], "ndk"))
     if n < 1 or d < 1 or k < 2:
-        raise FormatError(f"line 1: header sizes out of range (n={n} d={d} k={k})")
+        raise FormatError(f"{path} line 1: header sizes out of range (n={n} d={d} k={k})")
     if records != n:
-        raise FormatError(f"expected {n} records, found {records}")
+        raise FormatError(f"{path}: expected {n} records, found {records}")
     return n, d, k
 
 
@@ -335,12 +335,12 @@ def load_dataset(path) -> NoisyDataset:
         raise FormatError(f"{path}: empty file")
     # universal newlines: a CRLF file streams as its LF copy would
     with open(path, encoding="ascii", newline=None) as fh:
-        n, d, k = _parse_header(fh.readline().removesuffix("\n"), count - 1)
+        n, d, k = _parse_header(path, fh.readline().removesuffix("\n"), count - 1)
         arrays = _parse_records_at_once(fh, d, k, n)
     if arrays is None:
         lines = read_lines(path)
         next(lines)  # the header
-        arrays = _parse_records_by_line(lines, d, k, n)
+        arrays = _parse_records_by_line(path, lines, d, k, n)
     try:
         return NoisyDataset(*arrays, num_classes=k)
     except ParameterError as exc:
@@ -375,28 +375,28 @@ def _parse_records_at_once(fh, d: int, k: int, n: int):
     return rows["features"].copy(), working, true
 
 
-def _parse_records_by_line(lines, d: int, k: int, n: int):
-    """(features, working, true) of the n records ``lines`` yields, one token at a time."""
+def _parse_records_by_line(path, lines, d: int, k: int, n: int):
+    """(features, working, true) of the n records ``lines`` yields from ``path``, by token."""
     features = np.empty((n, d), dtype=np.float64)
     working = np.empty(n, dtype=np.int64)
     true = np.empty(n, dtype=np.int64)
     for i, line in zip(range(n), lines):
-        lineno = i + 2
+        where = f"{path} line {i + 2}"
         parts = line.split()
         if len(parts) != d + 2:
-            raise FormatError(f"line {lineno}: expected {d + 2} fields, got {len(parts)}")
+            raise FormatError(f"{where}: expected {d + 2} fields, got {len(parts)}")
         try:
             row = [float(p) for p in parts[:d]]
         except ValueError:
-            raise FormatError(f"line {lineno}: unparsable feature value") from None
+            raise FormatError(f"{where}: unparsable feature value") from None
         if not all(math.isfinite(v) for v in row):
-            raise FormatError(f"line {lineno}: non-finite feature value")
+            raise FormatError(f"{where}: non-finite feature value")
         try:
             w, t = int(parts[d]), int(parts[d + 1])
         except ValueError:
-            raise FormatError(f"line {lineno}: unparsable label") from None
+            raise FormatError(f"{where}: unparsable label") from None
         for name, label in (("working", w), ("true", t)):
             if not 0 <= label < k:
-                raise FormatError(f"line {lineno}: {name} label {label} out of range for k={k}")
+                raise FormatError(f"{where}: {name} label {label} out of range for k={k}")
         features[i], working[i], true[i] = row, w, t
     return features, working, true

@@ -44,7 +44,7 @@ def seeded_rng(seed) -> np.random.Generator:
     return np.random.default_rng(require_int("seed", seed, 0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Supervised SGD settings; the learning rate follows a cosine decay."""
 
@@ -57,7 +57,7 @@ class TrainConfig:
     def __post_init__(self):
         # numpy seeds its generators only from nonnegative integers
         for name, low in (("total_epochs", 1), ("batch_size", 1), ("seed", 0)):
-            setattr(self, name, require_int(name, getattr(self, name), low))
+            object.__setattr__(self, name, require_int(name, getattr(self, name), low))
         if not is_real(self.base_lr) or not 0 <= self.base_lr < math.inf:
             raise ParameterError("base_lr must be finite and nonnegative")
         if not is_real(self.weight_decay) or not 0 <= self.weight_decay < math.inf:

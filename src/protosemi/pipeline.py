@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import takewhile, zip_longest
 from typing import Callable, NamedTuple
 
@@ -51,11 +51,10 @@ def _parse_dims(text: str) -> tuple:
 
 
 class ConfigField(NamedTuple):
-    """One run-config key: its text parser and where PipelineConfig keeps it."""
+    """One run-config key and its text parser."""
 
     key: str
     parse: Callable[[str], object]
-    part: str | None = None  # None: PipelineConfig itself; else thresholds, train or semi
 
     def text(self, value) -> str:
         """Config-file text of a normalized value; the str of a float is its repr."""
@@ -82,59 +81,48 @@ class ConfigField(NamedTuple):
 
 @contextmanager
 def naming_key_lines(source, linenos: dict[str, int]):
-    """Re-raise a ParameterError as a FormatError at the line of the first key it names."""
+    """Re-raise a ParameterError as a FormatError at the lines of the keys it names."""
     try:
         yield
     except ParameterError as err:
-        lineno = next((linenos[w] for w in re.findall(r"\w+", str(err)) if w in linenos), None)
-        where = source if lineno is None else f"{source} line {lineno}"
-        raise FormatError(f"{where}: {err}") from None
-
-
-# the run-config schema, in report-header order: it drives config-file
-# parsing, the config echo, and the report header
-CONFIG_FIELDS = (
-    ConfigField("hidden_dims", _parse_dims),
-    ConfigField("warmup_epochs", int),
-    ConfigField("proto_split_epochs", int),
-    ConfigField("main_epochs", int),
-    ConfigField("alpha", float, "thresholds"),
-    ConfigField("beta", float, "thresholds"),
-    ConfigField("base_lr", float, "train"),
-    ConfigField("batch_size", int, "train"),
-    ConfigField("weight_decay", float, "train"),
-    ConfigField("k_aug", int, "semi"),
-    ConfigField("temperature", float, "semi"),
-    ConfigField("mix_alpha", float, "semi"),
-    ConfigField("lambda_u", float, "semi"),
-    ConfigField("aug_sigma", float, "semi"),
-    ConfigField("seed", int),
-)
+        named = sorted({linenos[w] for w in re.findall(r"\w+", str(err)) if w in linenos})
+        where = f"{source} line{'s' if len(named) > 1 else ''} {', '.join(map(str, named))}"
+        raise FormatError(f"{where if named else source}: {err}") from None
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Full recipe for one run.
+    """Full recipe for one run: the config-file keys, in report-header order.
 
-    Construction turns each config key into what its config-file text
-    parses to, so the run's report reads back, and pins the nested
-    TrainConfig's seed to the pipeline seed and its total_epochs to
-    warmup_epochs + main_epochs: one seed and one schedule govern the run.
+    Construction turns each key into what its config-file text parses to,
+    so the run's report reads back, and derives the stage configs from the
+    keys once.  The TrainConfig takes its total_epochs from the schedule
+    (warmup_epochs + main_epochs) and its seed from the config's own: one
+    seed and one schedule govern the run.
     """
 
     hidden_dims: tuple
     warmup_epochs: int
     proto_split_epochs: int
     main_epochs: int
-    thresholds: Thresholds
-    train: TrainConfig
-    semi: SemiConfig
-    seed: int = 0
+    alpha: float
+    beta: float
+    base_lr: float
+    batch_size: int
+    weight_decay: float
+    k_aug: int
+    temperature: float
+    mix_alpha: float
+    lambda_u: float
+    aug_sigma: float
+    seed: int
+    thresholds: Thresholds = field(init=False, compare=False, repr=False)
+    train: TrainConfig = field(init=False, compare=False, repr=False)
+    semi: SemiConfig = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for f in CONFIG_FIELDS:
-            if f.part is None:
-                object.__setattr__(self, f.key, f.normal(getattr(self, f.key)))
+            object.__setattr__(self, f.key, f.normal(getattr(self, f.key)))
         if len(self.hidden_dims) < 1 or min(self.hidden_dims) < 1:
             raise ParameterError(f"hidden_dims must be positive ints, got {self.hidden_dims}")
         require_int("warmup_epochs", self.warmup_epochs, 1)
@@ -144,13 +132,13 @@ class PipelineConfig:
                 f"proto_split_epochs must lie in [0, main_epochs], got "
                 f"{self.proto_split_epochs} with main_epochs={self.main_epochs}"
             )
-        pinned = {"train": {"total_epochs": self.total_epochs, "seed": self.seed}}
-        for part, kind in (("thresholds", Thresholds), ("train", TrainConfig), ("semi", SemiConfig)):
-            owner = getattr(self, part)
-            if not isinstance(owner, kind):
-                raise ParameterError(f"{part} must be a {kind.__name__} instance")
-            values = {f.key: f.normal(getattr(owner, f.key)) for f in CONFIG_FIELDS if f.part == part}
-            object.__setattr__(self, part, dataclasses.replace(owner, **values, **pinned.get(part, {})))
+        object.__setattr__(self, "thresholds", Thresholds(self.alpha, self.beta))
+        object.__setattr__(self, "train", TrainConfig(
+            base_lr=self.base_lr, total_epochs=self.total_epochs, batch_size=self.batch_size,
+            weight_decay=self.weight_decay, seed=self.seed))
+        object.__setattr__(self, "semi", SemiConfig(
+            k_aug=self.k_aug, temperature=self.temperature, mix_alpha=self.mix_alpha,
+            lambda_u=self.lambda_u, aug_sigma=self.aug_sigma))
 
     @property
     def total_epochs(self) -> int:
@@ -175,20 +163,18 @@ class PipelineConfig:
         missing = [f.key for f in CONFIG_FIELDS if f.key not in values]
         if missing:
             raise ParameterError(f"missing required key {', '.join(map(repr, missing))}")
-        parts = {None: {}, "thresholds": {}, "train": {}, "semi": {}}
-        for f in CONFIG_FIELDS:
-            parts[f.part][f.key] = f.read(values)
-        return cls(
-            thresholds=Thresholds(**parts["thresholds"]),
-            train=TrainConfig(total_epochs=1, **parts["train"]),  # __post_init__ sets it
-            semi=SemiConfig(**parts["semi"]),
-            **parts[None],
-        )
+        return cls(**{f.key: f.read(values) for f in CONFIG_FIELDS})
 
     def echo(self) -> dict:
-        """Flat key=value view of the effective config, CLI-file style."""
-        return {f.key: f.text(getattr(getattr(self, f.part) if f.part else self, f.key))
-                for f in CONFIG_FIELDS}
+        """Flat key=value view of the config, CLI-file style."""
+        return {f.key: f.text(getattr(self, f.key)) for f in CONFIG_FIELDS}
+
+
+# the run-config schema, PipelineConfig's init fields in report-header order:
+# it drives config-file parsing, the config echo, and the report header
+_PARSERS = {"tuple": _parse_dims, "int": int, "float": float}
+CONFIG_FIELDS = tuple(ConfigField(f.name, _PARSERS[f.type])
+                      for f in dataclasses.fields(PipelineConfig) if f.init)
 
 
 @dataclass(frozen=True)
@@ -217,13 +203,9 @@ class RunReport:
     """Everything measurable about one run; its summary derives from the rows."""
 
     variant: str
-    config_echo: dict  # config-file text by key, as PipelineConfig.echo() gives it
+    config: PipelineConfig
     epochs: list
     corrections: list
-
-    @property
-    def seed(self) -> int:
-        return int(self.config_echo["seed"])
 
     @property
     def final_accuracy(self) -> float:
@@ -305,7 +287,7 @@ def run_with_artifacts(dataset: NoisyDataset, heldout: NoisyDataset,
             sizes = int(part.confident_idx.size), int(part.unconfident_idx.size)
         epochs.append(EpochRecord(epoch, phase, *losses, *sizes, evaluate(net, heldout)))
 
-    report = RunReport(variant=variant, config_echo=config.echo(),
+    report = RunReport(variant=variant, config=config,
                        epochs=epochs, corrections=corrections)
     return RunResult(report=report, net=net, dataset=ds, correction_logs=logs)
 
@@ -361,8 +343,7 @@ def _report_lines(report: RunReport) -> list:
     """The report file, line by line: key=value header, then two CSV blocks."""
     lines = ["protosemi-report v1"]
     lines.append(f"variant={report.variant}")
-    for f in CONFIG_FIELDS:
-        lines.append(f"{f.key}={report.config_echo[f.key]}")
+    lines.extend(f"{key}={text}" for key, text in report.config.echo().items())
     lines.append(f"final_accuracy={report.final_accuracy!r}")
     lines.append(f"best_accuracy={report.best_accuracy!r}")
     lines.append(f"best_epoch={report.best_epoch}")
@@ -414,7 +395,7 @@ def parse_report(path) -> RunReport:
     if not epochs:
         raise FormatError(f"{path} line {ends[0] + 1}: no epoch rows")
     report = RunReport(
-        values["variant"], config.echo(),
+        values["variant"], config,
         [EpochRecord(e, p, *cells[2:]) for (e, p, _), cells in zip(schedule, epochs)],
         [CorrectionEpoch(e, StatsRow(*cells[1:5])) for e, cells in zip(fixed, corrections)])
     written = _report_lines(report) + [""]

@@ -263,8 +263,9 @@ def load_correction_log(path) -> list[CorrectionRecord]:
     if header != list(LOG_COLUMNS):
         raise FormatError(f"{path}: bad header {header!r}")
     for lineno, row in enumerate(reader, start=2):
+        where = f"{path} line {lineno}"
         if len(row) != len(LOG_COLUMNS):
-            raise FormatError(f"line {lineno}: expected {len(LOG_COLUMNS)} fields")
+            raise FormatError(f"{where}: expected {len(LOG_COLUMNS)} fields")
         try:
             rec = CorrectionRecord(
                 index=int(row[0]),
@@ -276,24 +277,24 @@ def load_correction_log(path) -> list[CorrectionRecord]:
                 p_correct=float(row[6]),
             )
         except ValueError:
-            raise FormatError(f"line {lineno}: unparsable field") from None
+            raise FormatError(f"{where}: unparsable field") from None
         # only the outside zone leaves a sample unmoved
         if (rec.zone not in ZONES or rec.action not in ACTIONS
                 or (rec.zone == "outside") != (rec.action == "unmoved")):
-            raise FormatError(f"line {lineno}: zone {rec.zone} cannot take action {rec.action}")
+            raise FormatError(f"{where}: zone {rec.zone} cannot take action {rec.action}")
         if not (0.0 <= rec.p_correct <= 1.0 and -1.0 <= rec.d_max <= 1.0):
-            raise FormatError(f"line {lineno}: p_correct or d_max out of range")
+            raise FormatError(f"{where}: p_correct or d_max out of range")
         # repartition corrects exactly when the labels differ, except
         # in the ring, where a differing label may also be retained
         if rec.action == "corrected" and rec.proto_label == rec.prior_label:
-            raise FormatError(f"line {lineno}: corrected row keeps its label {rec.prior_label}")
+            raise FormatError(f"{where}: corrected row keeps its label {rec.prior_label}")
         if (rec.zone, rec.action) == ("small", "retained") and rec.proto_label != rec.prior_label:
-            raise FormatError(f"line {lineno}: small-circle row retains a label "
+            raise FormatError(f"{where}: small-circle row retains a label "
                               f"that differs from its prototype's")
         if rec.index < 0:
-            raise FormatError(f"line {lineno}: negative index")
+            raise FormatError(f"{where}: negative index")
         if rec.index in first_line:
-            raise FormatError(f"line {lineno}: index {rec.index} repeats line "
+            raise FormatError(f"{where}: index {rec.index} repeats line "
                               f"{first_line[rec.index]}")
         first_line[rec.index] = lineno
         records.append(rec)

@@ -317,10 +317,9 @@ def invariant_scenario():
     train = inject_factual_noise(train, 0.25, 12)
     config = PipelineConfig(
         hidden_dims=(16, 8), warmup_epochs=4, proto_split_epochs=2,
-        main_epochs=3, thresholds=Thresholds(0.9, 0.2),
-        train=TrainConfig(base_lr=0.1, total_epochs=1, batch_size=16, seed=0),
-        semi=__import__("protosemi.mixmatch", fromlist=["SemiConfig"]).SemiConfig(aug_sigma=0.05),
-        seed=11,
+        main_epochs=3, alpha=0.9, beta=0.2, base_lr=0.1, batch_size=16,
+        weight_decay=5e-4, k_aug=2, temperature=0.5, mix_alpha=0.75,
+        lambda_u=1.0, aug_sigma=0.05, seed=11,
     )
     return train, heldout, config
 

@@ -222,6 +222,18 @@ class TestTrain:
         assert code == 2
         assert capsys.readouterr().err == f"error: {train} line 3: non-ASCII byte 0xc2\n"
 
+    def test_bad_heldout_record_names_its_file(self, dataset_files, tmp_path, capsys):
+        train, heldout = dataset_files
+        lines = heldout.read_text().split("\n")
+        lines[2] = lines[2].rsplit(" ", 1)[0] + " 9"  # the true label of line 3
+        heldout.write_text("\n".join(lines))
+        code = main(["train", "--config", str(write_config(tmp_path / "run.cfg")),
+                     "--data", str(train), "--heldout", str(heldout),
+                     "--report", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {heldout} line 3: true label 9 out of range for k=3\n")
+
     def test_heldout_of_another_dimension_exits_two(self, tmp_path, capsys):
         # a usage error: the one ParameterError a parsed config can still reach
         for name, dim in (("t.ds", "16"), ("h.ds", "8")):
@@ -294,6 +306,11 @@ class TestTrain:
         assert not report.exists()
 
 
+# edits that fail a check reading two keys, and the other key it names
+_CHECKED_WITH = {("proto_split_epochs", "4"): ("main_epochs",),
+                 ("alpha", "0.2"): ("beta",), ("beta", "0.95"): ("alpha",)}
+
+
 class TestConfigFile:
     def test_parses_defaults(self, tmp_path):
         cfg = parse_config_file(write_config(tmp_path / "run.cfg"))
@@ -332,16 +349,19 @@ class TestConfigFile:
         dict(alpha="0.2"),               # alpha no longer above beta
         dict(seed="-1"),
         dict(k_aug="0"),
+        dict(beta="0.95"),               # beta no longer below alpha
     ])
     def test_malformed_configs(self, tmp_path, overrides):
         path = write_config(tmp_path / "run.cfg", **overrides)
         with pytest.raises(FormatError) as info:
             parse_config_file(path)
-        # the error names the line of the key it is about; write_config
+        # the error names the line of each key it is about; write_config
         # writes a comment line, then the keys in CONFIG_DEFAULTS order
         (key, value), = overrides.items()
         keys = [k for k, v in {**CONFIG_DEFAULTS, **overrides}.items() if v is not None]
-        where = path if value is None else f"{path} line {keys.index(key) + 2}"
+        named = [] if value is None else [key, *_CHECKED_WITH.get((key, value), ())]
+        lines = ", ".join(str(n) for n in sorted(keys.index(k) + 2 for k in named))
+        where = f"{path} line{'s' if len(named) > 1 else ''} {lines}" if named else path
         assert str(info.value).startswith(f"{where}: ")
 
     def test_missing_keys_named_in_table_order(self, tmp_path):

@@ -380,29 +380,31 @@ def _with_line3(text):
 
 
 _REJECTED = [
-    ("short_line", _with_line3("1.5 2.0 1"), "line 3: expected 4 fields, got 3"),
-    ("long_line", _with_line3("1.5 2.0 1 1 1"), "line 3: expected 4 fields, got 5"),
-    ("oops", _with_line3("oops 2.0 1 1"), "line 3: unparsable feature value"),
-    ("nan", _with_line3("1.5 nan 1 1"), "line 3: non-finite feature value"),
-    ("inf", _with_line3("inf 2.0 1 1"), "line 3: non-finite feature value"),
-    ("1e999", _with_line3("1.5 1e999 1 1"), "line 3: non-finite feature value"),
-    ("label_3.0", _with_line3("1.5 2.0 3.0 1"), "line 3: unparsable label"),
-    ("label_3e0", _with_line3("1.5 2.0 1 3e0"), "line 3: unparsable label"),
-    ("label_-1", _with_line3("1.5 2.0 -1 1"), "line 3: working label -1 out of range for k=3"),
-    ("label_k", _with_line3("1.5 2.0 k 1"), "line 3: unparsable label"),
-    ("true_label_3", _with_line3("1.5 2.0 1 3"), "line 3: true label 3 out of range for k=3"),
+    ("short_line", _with_line3("1.5 2.0 1"), "{path} line 3: expected 4 fields, got 3"),
+    ("long_line", _with_line3("1.5 2.0 1 1 1"), "{path} line 3: expected 4 fields, got 5"),
+    ("oops", _with_line3("oops 2.0 1 1"), "{path} line 3: unparsable feature value"),
+    ("nan", _with_line3("1.5 nan 1 1"), "{path} line 3: non-finite feature value"),
+    ("inf", _with_line3("inf 2.0 1 1"), "{path} line 3: non-finite feature value"),
+    ("1e999", _with_line3("1.5 1e999 1 1"), "{path} line 3: non-finite feature value"),
+    ("label_3.0", _with_line3("1.5 2.0 3.0 1"), "{path} line 3: unparsable label"),
+    ("label_3e0", _with_line3("1.5 2.0 1 3e0"), "{path} line 3: unparsable label"),
+    ("label_-1", _with_line3("1.5 2.0 -1 1"),
+     "{path} line 3: working label -1 out of range for k=3"),
+    ("label_k", _with_line3("1.5 2.0 k 1"), "{path} line 3: unparsable label"),
+    ("true_label_3", _with_line3("1.5 2.0 1 3"),
+     "{path} line 3: true label 3 out of range for k=3"),
     ("label_overflow", _with_line3("1.5 2.0 99999999999999999999 1"),
-     "line 3: working label 99999999999999999999 out of range for k=3"),
-    ("blank_record", _with_line3(""), "line 3: expected 4 fields, got 0"),
-    ("spaces_record", _with_line3("   "), "line 3: expected 4 fields, got 0"),
-    ("blank_inserted", [_GOOD[0], "", _GOOD[1], _GOOD[2]], "expected 3 records, found 4"),
-    ("comment_tail", _with_line3("1.5 2.0 1 1 # note"), "line 3: expected 4 fields, got 6"),
-    ("comment_glued", _with_line3("1.5 2.0 1 1#note"), "line 3: unparsable label"),
-    ("comment_line", _with_line3("#1.5 2.0 1 1"), "line 3: unparsable feature value"),
+     "{path} line 3: working label 99999999999999999999 out of range for k=3"),
+    ("blank_record", _with_line3(""), "{path} line 3: expected 4 fields, got 0"),
+    ("spaces_record", _with_line3("   "), "{path} line 3: expected 4 fields, got 0"),
+    ("blank_inserted", [_GOOD[0], "", _GOOD[1], _GOOD[2]], "{path}: expected 3 records, found 4"),
+    ("comment_tail", _with_line3("1.5 2.0 1 1 # note"), "{path} line 3: expected 4 fields, got 6"),
+    ("comment_glued", _with_line3("1.5 2.0 1 1#note"), "{path} line 3: unparsable label"),
+    ("comment_line", _with_line3("#1.5 2.0 1 1"), "{path} line 3: unparsable feature value"),
     ("vertical_tab", _with_line3("1.5 2.0\x0b1 1"), "{path} line 3: control byte 0x0b"),
     ("lone_cr", _with_line3("1.5 2.0\r1 1"), "{path} line 3: control byte 0x0d"),
     ("errors_in_line_order", [_GOOD[0], "1.5 2.0 1 9", "nan 3.0 2 2"],
-     "line 3: true label 9 out of range for k=3"),
+     "{path} line 3: true label 9 out of range for k=3"),
 ]
 
 _ACCEPTED = [
@@ -499,14 +501,15 @@ class TestLoaderTable:
 
     def test_saved_files_take_the_array_pass(self, tmp_path):
         ds = inject_factual_noise(generate_blobs(4, 30, 5, 5.0, 1.0, seed=8), 0.3, seed=8)
-        save_dataset(ds, tmp_path / "ds.txt")
-        with open(tmp_path / "ds.txt", encoding="ascii") as fh:
+        path = tmp_path / "ds.txt"
+        save_dataset(ds, path)
+        with open(path, encoding="ascii") as fh:
             fh.readline()
             at_once = _parse_records_at_once(fh, ds.dim, ds.num_classes, ds.n)
         assert at_once is not None
-        records = read_lines(tmp_path / "ds.txt")
+        records = read_lines(path)
         next(records)
-        by_line = _parse_records_by_line(records, ds.dim, ds.num_classes, ds.n)
+        by_line = _parse_records_by_line(path, records, ds.dim, ds.num_classes, ds.n)
         for got, want in zip(at_once, by_line):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -520,7 +523,7 @@ class TestLoaderTable:
         at_once = _parse_records_at_once(io.StringIO("\n".join(records)), 2, 3, len(records))
         if at_once is None:
             return
-        by_line = _parse_records_by_line(records, 2, 3, len(records))  # must not raise
+        by_line = _parse_records_by_line("-", records, 2, 3, len(records))  # must not raise
         for got, want in zip(at_once, by_line):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 

@@ -47,7 +47,7 @@ def test_root_exports_what_examples_import():
     error_types = {name for name, value in vars(errors).items()
                    if isinstance(value, type) and issubclass(value, errors.ProtoSemiError)}
     assert len(error_types) == 5
-    assert len(protosemi.__all__) == len(set(protosemi.__all__)) == 22
+    assert len(protosemi.__all__) == len(set(protosemi.__all__)) == 21
     assert set(protosemi.__all__) == used | error_types
     for name in protosemi.__all__:
         getattr(protosemi, name)

@@ -53,9 +53,16 @@ def small_config(**overrides):
         warmup_epochs=4,
         proto_split_epochs=2,
         main_epochs=3,
-        thresholds=Thresholds(0.9, 0.2),
-        train=TrainConfig(base_lr=0.1, total_epochs=1, batch_size=16, seed=0),
-        semi=SemiConfig(aug_sigma=0.05),
+        alpha=0.9,
+        beta=0.2,
+        base_lr=0.1,
+        batch_size=16,
+        weight_decay=5e-4,
+        k_aug=2,
+        temperature=0.5,
+        mix_alpha=0.75,
+        lambda_u=1.0,
+        aug_sigma=0.05,
         seed=7,
     )
     base.update(overrides)
@@ -63,13 +70,20 @@ def small_config(**overrides):
 
 
 class TestPipelineConfig:
-    def test_train_config_is_normalized(self):
-        passed = TrainConfig(base_lr=0.1, total_epochs=1, batch_size=16, seed=99)
-        cfg = small_config(train=passed)
-        assert cfg.train.total_epochs == 7
-        assert cfg.train.seed == 7
-        # the caller's object is left alone
-        assert passed.total_epochs == 1 and passed.seed == 99
+    def test_stage_configs_derive_from_the_keys(self):
+        cfg = small_config()
+        # one schedule and one seed govern the run: total_epochs = 4 + 3, seed = 7
+        assert cfg.train == TrainConfig(base_lr=0.1, total_epochs=7, batch_size=16,
+                                        weight_decay=5e-4, seed=7)
+        assert cfg.thresholds == Thresholds(0.9, 0.2)
+        assert cfg.semi == SemiConfig(k_aug=2, temperature=0.5, mix_alpha=0.75,
+                                      lambda_u=1.0, aug_sigma=0.05)
+
+    def test_train_config_is_frozen(self):
+        # an edited stage config would make the run disagree with the keys its report echoes
+        cfg = small_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.train.seed = 1
 
     def test_hidden_dims_becomes_int_tuple(self):
         cfg = small_config(hidden_dims=[np.int64(12), 4])
@@ -99,30 +113,30 @@ class TestPipelineConfig:
         dict(main_epochs=-1),
         dict(proto_split_epochs=-1),
         dict(proto_split_epochs=4),  # exceeds main_epochs=3
-        dict(thresholds=(0.9, 0.2)),
+        dict(alpha=0.2),  # not above beta=0.2
     ])
     def test_invalid(self, bad):
         with pytest.raises(ParameterError):
             small_config(**bad)
 
     @pytest.mark.parametrize("overrides", [
-        dict(thresholds=Thresholds(1, 0.5)),
-        dict(train=TrainConfig(base_lr=1, total_epochs=1, batch_size=16)),
-        dict(semi=SemiConfig(temperature=1, aug_sigma=0.05)),
-        dict(train=TrainConfig(base_lr=0.1, total_epochs=1, batch_size=np.int64(16))),
-        dict(train=TrainConfig(base_lr=np.float64(0.1), total_epochs=1, batch_size=16)),
-        dict(semi=SemiConfig(k_aug=np.int64(2), mix_alpha=np.float32(0.75), aug_sigma=0)),
+        dict(alpha=1, beta=0.5),
+        dict(base_lr=1),
+        dict(temperature=1),
+        dict(batch_size=np.int64(16)),
+        dict(base_lr=np.float64(0.1)),
+        dict(k_aug=np.int64(2), mix_alpha=np.float32(0.75), aug_sigma=0),
         dict(hidden_dims=[np.int64(16), 8], warmup_epochs=np.int64(4), seed=np.int32(7)),
     ])
     def test_python_values_become_what_the_report_reads_back(self, tmp_path, overrides):
         config = small_config(**overrides)
         for f in CONFIG_FIELDS:
-            value = getattr(getattr(config, f.part) if f.part else config, f.key)
+            value = getattr(config, f.key)
             assert type(value) is {int: int, float: float, _parse_dims: tuple}[f.parse]
         train, heldout = noisy_scenario()
         report = run_with_artifacts(train, heldout, config).report
         write_report(report, tmp_path / "run.report")
-        assert parse_report(tmp_path / "run.report").config_echo == config.echo()
+        assert parse_report(tmp_path / "run.report").config == config
 
     @pytest.mark.parametrize("overrides", [
         dict(proto_split_epochs=1.0),
@@ -148,20 +162,16 @@ class TestPipelineConfig:
 
 
 def test_config_schema_matches_the_config_dataclasses():
-    owners = {None: PipelineConfig, "thresholds": Thresholds,
-              "train": TrainConfig, "semi": SemiConfig}
+    init_fields = [f.name for f in dataclasses.fields(PipelineConfig) if f.init]
+    assert init_fields == [f.key for f in CONFIG_FIELDS]
+    hints = typing.get_type_hints(PipelineConfig)
     for f in CONFIG_FIELDS:
-        annotation = typing.get_type_hints(owners[f.part])[f.key]
-        assert annotation is {int: int, float: float, _parse_dims: tuple}[f.parse], f.key
+        assert hints[f.key] is {int: int, float: float, _parse_dims: tuple}[f.parse], f.key
     # a knob without a key would be missing from the report header, so two
-    # runs that differ only in it would write the same report
-    keyed = {(owners[f.part], f.key) for f in CONFIG_FIELDS}
-    set_by_pipeline = {(TrainConfig, "total_epochs"), (TrainConfig, "seed"),
-                       (PipelineConfig, "thresholds"), (PipelineConfig, "train"),
-                       (PipelineConfig, "semi")}
-    init_fields = {(cls, f.name) for cls in owners.values()
-                   for f in dataclasses.fields(cls) if f.init}
-    assert init_fields == keyed | set_by_pipeline
+    # runs that differ only in it would write the same report; the schedule
+    # sets TrainConfig's total_epochs
+    for cls in (Thresholds, TrainConfig, SemiConfig):
+        assert {f.name for f in dataclasses.fields(cls)} - {"total_epochs"} <= set(init_fields)
 
 
 def two_class_split_net():
@@ -367,8 +377,7 @@ class TestDegenerateAbort:
         heldout = NoisyDataset(feats[:9].copy(), true[:9].copy(), true[:9].copy(), 3)
         cfg = small_config(
             hidden_dims=(6,), warmup_epochs=1, main_epochs=1,
-            proto_split_epochs=1, seed=seed,
-            train=TrainConfig(base_lr=0.0, total_epochs=1, batch_size=8, seed=0),
+            proto_split_epochs=1, seed=seed, base_lr=0.0, batch_size=8,
         )
         return train, heldout, cfg
 
@@ -462,8 +471,7 @@ class TestReportIO:
     def test_round_trip_preserves_everything(self, tmp_path):
         report, parsed, _ = self.roundtrip(tmp_path)
         assert parsed.variant == report.variant
-        assert parsed.seed == report.seed
-        assert parsed.config_echo == report.config_echo
+        assert parsed.config == report.config
         assert parsed.epochs == report.epochs
         assert parsed.corrections == report.corrections
         assert parsed.final_accuracy == report.final_accuracy
@@ -578,7 +586,8 @@ class TestReportIO:
             parse_report(path)
 
     @pytest.mark.parametrize("line, edit, message", [
-        ("alpha=0.9", "alpha=0.2", "thresholds must satisfy"),  # alpha equal to beta
+        # alpha equal to beta: the check reads two keys and names both lines
+        ("alpha=0.9", "alpha=0.2", "thresholds must satisfy"),
         ("base_lr=0.1", "base_lr=1e-1", "base_lr=1e-1 disagrees"),
         ("base_lr=0.1", "base_lr=nan", "base_lr must be finite"),
         ("variant=full", "variant=bogus", "variant must be one of"),
@@ -589,7 +598,9 @@ class TestReportIO:
         row = lines.index(line)
         lines[row] = edit
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match=rf"line {row + 1}: {message}"):
+        where = f"lines {row + 1}, {row + 2}" if message.startswith("thresholds") else (
+            f"line {row + 1}")
+        with pytest.raises(FormatError, match=rf"{where}: {message}"):
             parse_report(path)
 
     @pytest.mark.parametrize("extra", [True, False])
