@@ -296,6 +296,20 @@ def read_lines(path):
         yield tail
 
 
+_FLOATS = (float, np.floating)
+
+
+def csv_line(values) -> str:
+    """One CSV row of the package's text rule: a float as its repr, anything else as its str."""
+    return ",".join([repr(float(v)) if isinstance(v, _FLOATS) else str(v) for v in values])
+
+
+def write_lines(path, lines) -> None:
+    r"""Write ASCII ``lines``, each ending in "\n": the line end ``read_lines`` reads."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
 def _line_count(path) -> int:
     """Lines up to the last non-blank one, from one pass over ``_chunks``."""
     lines = last = 0

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import NoisyDataset, read_lines
+from .data import NoisyDataset, csv_line, read_lines, write_lines
 from .errors import DegenerateClassError, FormatError, ParameterError
 from .mixmatch import SemiConfig, semi_train_epoch
 from .net import Network, TrainConfig, init_network, is_int, is_real, require_int, train_epoch
@@ -305,38 +305,29 @@ def export_embeddings(net: Network, dataset: NoisyDataset, path) -> None:
     partition = split_by_agreement(net, dataset)
     prototypes = build_prototypes(net, dataset, partition)
     m = prototypes.rows.shape[1]
-    header = ["row_type", "label", "true_label"] + [f"e{j}" for j in range(m)]
-    lines = [",".join(header)]
-    for k in range(prototypes.rows.shape[0]):
-        coords = [repr(float(v)) for v in prototypes.rows[k]]
-        lines.append(",".join(["prototype", str(k), ""] + coords))
+    lines = [csv_line(["row_type", "label", "true_label"] + [f"e{j}" for j in range(m)])]
+    for k, row in enumerate(prototypes.rows.tolist()):
+        lines.append(csv_line(["prototype", k, ""] + row))
     embeddings = net.embed(dataset.features[partition.unconfident_idx])
-    for row, i in enumerate(partition.unconfident_idx):
-        coords = [repr(float(v)) for v in embeddings[row]]
-        lines.append(",".join([
-            "sample",
-            str(int(dataset.working_labels[i])),
-            str(int(dataset.true_labels[i])),
-        ] + coords))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    for i, row in zip(partition.unconfident_idx, embeddings.tolist()):
+        lines.append(csv_line(["sample", dataset.working_labels[i], dataset.true_labels[i]] + row))
+    write_lines(path, lines)
 
 
 def _stats_lines(corrections: list) -> list:
     """Column names, then one correction-summary row per repartition epoch."""
-    lines = [",".join(_CORRECTION_COLUMNS)]
+    lines = [csv_line(_CORRECTION_COLUMNS)]
     for entry in corrections:
         s = entry.stats
-        acc = "n/a" if s.accuracy_pct is None else repr(s.accuracy_pct)
-        lines.append(",".join([str(entry.epoch), str(s.unconfident_size), str(s.small_circle),
-                               str(s.corrected), str(s.right), acc]))
+        acc = "n/a" if s.accuracy_pct is None else s.accuracy_pct
+        lines.append(csv_line([entry.epoch, s.unconfident_size, s.small_circle,
+                               s.corrected, s.right, acc]))
     return lines
 
 
 def write_stats_csv(corrections: list, path) -> None:
     """Correction summaries, one row per repartition epoch."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(_stats_lines(corrections)) + "\n")
+    write_lines(path, _stats_lines(corrections))
 
 
 def _report_lines(report: RunReport) -> list:
@@ -349,12 +340,8 @@ def _report_lines(report: RunReport) -> list:
     lines.append(f"best_epoch={report.best_epoch}")
     lines.append("")
     lines.append("[epochs]")
-    lines.append(",".join(_EPOCH_COLUMNS))
-    for r in report.epochs:
-        lines.append(",".join([
-            str(r.epoch), r.phase, repr(r.loss_labeled), repr(r.loss_unlabeled),
-            str(r.confident), str(r.unconfident), repr(r.heldout_accuracy),
-        ]))
+    lines.append(csv_line(_EPOCH_COLUMNS))
+    lines.extend(csv_line(dataclasses.astuple(r)) for r in report.epochs)
     lines.append("")
     lines.append("[corrections]")
     lines.extend(_stats_lines(report.corrections))
@@ -363,8 +350,7 @@ def _report_lines(report: RunReport) -> list:
 
 def write_report(report: RunReport, path) -> None:
     """Serialize a report; :func:`parse_report` reads it back."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(_report_lines(report)) + "\n")
+    write_lines(path, _report_lines(report))
 
 
 def parse_report(path) -> RunReport:

@@ -20,12 +20,11 @@ labels are written back to the dataset so later epochs see them.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NoisyDataset, read_lines
+from .data import NoisyDataset, csv_line, read_lines, write_lines
 from .errors import (
     DegenerateClassError,
     DegenerateGeometryError,
@@ -36,8 +35,10 @@ from .net import Network, is_real
 
 ZONES = ("small", "ring", "outside")
 ACTIONS = ("corrected", "retained", "unmoved")
-LOG_COLUMNS = ("index", "d_max", "proto_label", "prior_label",
-               "zone", "action", "p_correct", "true_label")
+# correction-log columns and cell parsers
+_LOG_PARSERS = {"index": int, "d_max": float, "proto_label": int, "prior_label": int,
+                "zone": str, "action": str, "p_correct": float, "true_label": int}
+LOG_COLUMNS = tuple(_LOG_PARSERS)
 
 
 @dataclass(frozen=True)
@@ -214,7 +215,7 @@ def repartition(net: Network, ds: NoisyDataset, partition: Partition,
     # every record shares those objects instead of holding fresh copies
     zone = np.array(ZONES, dtype=object)[np.select([small, ring], [0, 1], 2)]
     action = np.array(ACTIONS, dtype=object)[np.select([corrected, moved], [0, 1], 2)]
-    # .tolist() gives Python scalars, whose repr the log CSV relies on
+    # .tolist() gives Python scalars, as load_correction_log reads them back
     log = [CorrectionRecord(*fields) for fields in zip(
         unconf.tolist(), d_max.tolist(), proto.tolist(), prior.tolist(),
         zone.tolist(), action.tolist(), p.tolist())]
@@ -244,40 +245,38 @@ def correction_stats(log: list[CorrectionRecord], ds: NoisyDataset) -> StatsRow:
 
 def save_correction_log(log: list[CorrectionRecord], ds: NoisyDataset, path) -> None:
     """CSV export of a repartition log, one row per unconfident sample."""
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LOG_COLUMNS)
-        for r in log:
-            writer.writerow([
-                r.index, repr(r.d_max), r.proto_label, r.prior_label,
-                r.zone, r.action, repr(r.p_correct), int(ds.true_labels[r.index]),
-            ])
+    true = ds.true_labels.tolist()
+    write_lines(path, [csv_line(LOG_COLUMNS)] + [csv_line([
+        r.index, r.d_max, r.proto_label, r.prior_label,
+        r.zone, r.action, r.p_correct, true[r.index]]) for r in log])
 
 
 def load_correction_log(path) -> list[CorrectionRecord]:
-    """Read a CSV written by :func:`save_correction_log`."""
+    """Read a CSV exactly as :func:`save_correction_log` writes it.
+
+    Each line holds the LOG_COLUMNS, comma-separated, with floats as
+    their repr.  A row that save_correction_log would not write byte for
+    byte, or that no repartition could log, is a FormatError naming its
+    line.  A line may end in "\r\n" too, as logs of earlier versions do.
+    """
     records: list[CorrectionRecord] = []
     first_line: dict[int, int] = {}  # index -> line that listed it
-    reader = csv.reader(read_lines(path))
-    header = next(reader, None)
-    if header != list(LOG_COLUMNS):
+    lines = (line.rstrip("\r\n") for line in read_lines(path))
+    header = next(lines, None)
+    if header != csv_line(LOG_COLUMNS):
         raise FormatError(f"{path}: bad header {header!r}")
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(lines, start=2):
         where = f"{path} line {lineno}"
-        if len(row) != len(LOG_COLUMNS):
+        cells = row.split(",")
+        if len(cells) != len(LOG_COLUMNS):
             raise FormatError(f"{where}: expected {len(LOG_COLUMNS)} fields")
         try:
-            rec = CorrectionRecord(
-                index=int(row[0]),
-                d_max=float(row[1]),
-                proto_label=int(row[2]),
-                prior_label=int(row[3]),
-                zone=row[4],
-                action=row[5],
-                p_correct=float(row[6]),
-            )
+            values = [parse(cell) for parse, cell in zip(_LOG_PARSERS.values(), cells)]
         except ValueError:
             raise FormatError(f"{where}: unparsable field") from None
+        if (want := csv_line(values)) != row:
+            raise FormatError(f"{where}: {row!r} disagrees; save_correction_log gives {want!r}")
+        rec = CorrectionRecord(*values[:-1])  # all but true_label
         # only the outside zone leaves a sample unmoved
         if (rec.zone not in ZONES or rec.action not in ACTIONS
                 or (rec.zone == "outside") != (rec.action == "unmoved")):

@@ -15,6 +15,7 @@ from protosemi.data import (
     NoisyDataset,
     _parse_records_at_once,
     _parse_records_by_line,
+    csv_line,
     generate_blobs,
     inject_ambiguity_noise,
     inject_factual_noise,
@@ -33,6 +34,11 @@ def test_round_half_away_known_values():
     assert round_half_away(-2.5) == -3
     assert round_half_away(0.49999) == 0
     assert round_half_away(300.0) == 300
+
+
+def test_csv_line_renders_floats_as_repr_and_the_rest_as_str():
+    values = [-0.0, float("nan"), 5e-324, np.float64(0.1), np.int64(7), "n/a", ""]
+    assert csv_line(values) == "-0.0,nan,5e-324,0.1,7,n/a,"
 
 
 @given(st.integers(min_value=-10_000, max_value=10_000))

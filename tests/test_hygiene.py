@@ -1,8 +1,10 @@
 """Source hygiene: no module imports a name it never uses.
 
 Checked: the package, the tests and the demos.  The package root is
-exempt, since its imports are its re-exports.  Also checked: the test
-settings let the session go on past a failing property test.
+exempt, since its imports are its re-exports.  Also checked: the text
+rule of every file the package writes stays in ``data.py`` (no other
+package module opens a file to write, and no module imports ``csv``),
+and the test settings let the session go on past a failing property test.
 """
 
 import ast
@@ -40,6 +42,44 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(module):
     assert unused_imports(module.read_text()) == []
+
+
+def opens_to_write(source: str) -> list:
+    """Lines that call ``open`` with a mode that writes, or with a mode not spelled out."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+            if not (isinstance(mode, ast.Constant) and set(mode.value).isdisjoint("wax+")):
+                lines.append(node.lineno)
+    return lines
+
+
+def imports_csv(source: str) -> bool:
+    return any(isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names)
+               or isinstance(node, ast.ImportFrom) and node.module == "csv"
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_detects_a_write_open_and_a_csv_import():
+    source = ("import csv\nopen(p)\nopen(p, 'rb')\nopen(p, 'w')\n"
+              "open(p, mode='a')\nopen(p, 'r+')\nopen(p, m)\n")
+    assert opens_to_write(source) == [4, 5, 6, 7]
+    assert imports_csv(source) and imports_csv("from csv import writer\n")
+    assert not imports_csv("import csvkit\n")
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_text_layer_writes_files(module):
+    if module.name != "data.py":
+        assert opens_to_write(module.read_text()) == []
+
+
+@pytest.mark.parametrize("module", MODULES + [PACKAGE / "__init__.py"], ids=lambda p: p.name)
+def test_no_module_imports_csv(module):
+    assert not imports_csv(module.read_text())
 
 
 FAILING_PROPERTY_THEN_PASSING = """\

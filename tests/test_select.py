@@ -6,6 +6,7 @@ so a regression in the library logic cannot hide in shared helpers.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import same_arrays
-from protosemi.data import NoisyDataset, generate_blobs, inject_factual_noise
+from protosemi.cli import main
+from protosemi.data import NoisyDataset, generate_blobs, inject_factual_noise, load_dataset
 from protosemi.errors import (
     DegenerateClassError,
     DegenerateGeometryError,
@@ -23,6 +25,7 @@ from protosemi.errors import (
 from protosemi.net import Network, init_network, train_epoch, TrainConfig
 from protosemi.select import (
     ACTIONS,
+    LOG_COLUMNS,
     ZONES,
     CorrectionRecord,
     Partition,
@@ -522,6 +525,51 @@ class TestCorrectionLogCsv:
         path = tmp_path / "log.csv"
         save_correction_log(log, ds, path)
         assert correction_stats(load_correction_log(path), ds) == correction_stats(log, ds)
+
+    def test_every_log_of_a_benchmark_run_rewrites_byte_for_byte(self, tmp_path):
+        data, heldout, report = (str(tmp_path / name) for name in ("d.ds", "h.ds", "run.report"))
+        assert main(["gen-data", "--per-class", "500", "--rate", "0.3", "--seed", "0",
+                     "--out", data, "--heldout-out", heldout]) == 0
+        config = Path(__file__).resolve().parent.parent / "configs" / "benchmark.cfg"
+        assert main(["train", "--config", str(config), "--data", data, "--heldout", heldout,
+                     "--report", report]) == 0
+        ds = load_dataset(data)
+        logs = sorted(tmp_path.glob("run.report.corrections-epoch*.csv"))
+        assert len(logs) == 10
+        for path in logs:
+            log = load_correction_log(path)
+            save_correction_log(log, ds, tmp_path / "again.csv")
+            assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+            # earlier versions ended each log line in "\r\n"
+            crlf = tmp_path / "crlf.csv"
+            crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+            assert load_correction_log(crlf) == log
+
+    _LOGGED = "0,0.95,1,0,small,corrected,1.0,1\n"
+
+    @pytest.mark.parametrize("body, line, message", [
+        (_LOGGED + '"3",0.97,1,0,small,corrected,1.0,1\n', 3, "unparsable field"),
+        (_LOGGED + "3, 0.97,1,0,small,corrected,1.0,1\n", 3,
+         "'3, 0.97,1,0,small,corrected,1.0,1' disagrees; "
+         "save_correction_log gives '3,0.97,1,0,small,corrected,1.0,1'"),
+        (_LOGGED + "03,0.97,1,0,small,corrected,1.0,1\n", 3, "disagrees"),
+        (_LOGGED + "3,0.97,+1,0,small,corrected,1.0,1\n", 3, "disagrees"),
+        (_LOGGED + "3,9.7e-1,1,0,small,corrected,1.0,1\n", 3, "disagrees"),
+        (_LOGGED + "3,0.97,1,0,small,corrected,1,1\n", 3, "disagrees"),
+        (_LOGGED + "3,0.97,1,0,small,corrected,1.0,banana\n", 3, "unparsable field"),
+        # a CSV reader takes lines 2 and 3 as one record of index 3, and
+        # counts the repeat on line 4 as its line 3
+        ('"3\n",0.97,1,0,small,corrected,1.0,1\n3,0.97,1,0,small,corrected,1.0,1\n', 2,
+         "expected 8 fields"),
+    ], ids=["quoted", "padded", "leading-zero", "plus-sign", "exponent", "int-for-float",
+            "true-label-banana", "quoted-line-break"])
+    def test_row_no_run_writes_rejected(self, tmp_path, body, line, message):
+        path = tmp_path / "log.csv"
+        path.write_text(",".join(LOG_COLUMNS) + "\n" + body)
+        with pytest.raises(FormatError) as info:
+            load_correction_log(path)
+        assert str(info.value).startswith(f"{path} line {line}: ")
+        assert message in str(info.value) and "\n" not in str(info.value)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "log.csv"
