@@ -126,9 +126,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    log = load_correction_log(args.log)
     dataset = load_dataset(args.data)
-    s = correction_stats(log, dataset)
+    s = correction_stats(load_correction_log(args.log, dataset), dataset)
     print("unconfident_size  small_circle  corrected  right  accuracy")
     print(f"{s.unconfident_size:<17d} {s.small_circle:<13d} {s.corrected:<10d} "
           f"{s.right:<6d} {s.accuracy_text()}")

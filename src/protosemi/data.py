@@ -228,18 +228,22 @@ _SAVE_BLOCK_ROWS = 512
 def save_dataset(ds: NoisyDataset, path) -> None:
     """Write the line-oriented text format; see ``load_dataset``.
 
-    The bytes are those of ``np.savetxt`` with ``FLOAT_FMT``, written
-    one block of rows per ``%`` call instead of one row per call.
-    Blocks keep the Python floats and text held at once small.
+    The bytes are those of ``np.savetxt`` with ``FLOAT_FMT``, rendered
+    one block of rows per ``%`` call instead of one row per call, and
+    handed to ``write_lines`` as one line per block.  Blocks keep the
+    Python floats and text held at once small.
     """
     # %.17g prints the integer-valued label columns as bare integers
     table = np.column_stack([ds.features, ds.working_labels, ds.true_labels])
-    row = " ".join([FLOAT_FMT] * table.shape[1]) + "\n"
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"{DATASET_HEADER} v1 n={ds.n} d={ds.dim} k={ds.num_classes}\n")
+    row = " ".join([FLOAT_FMT] * table.shape[1])
+
+    def lines():
+        yield f"{DATASET_HEADER} v1 n={ds.n} d={ds.dim} k={ds.num_classes}"
         for start in range(0, ds.n, _SAVE_BLOCK_ROWS):
             block = table[start:start + _SAVE_BLOCK_ROWS]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+            yield "\n".join([row] * len(block)) % tuple(block.ravel().tolist())
+
+    write_lines(path, lines())
 
 
 def _header_field(path, token: str, key: str) -> int:

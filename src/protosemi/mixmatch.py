@@ -21,15 +21,12 @@ from .net import (
     TrainConfig,
     cosine_lr,
     cross_entropy_grads,
-    epoch_shuffle_rng,
+    epoch_rng,
     is_real,
     one_hot,
     require_int,
     softmax,
 )
-
-_MIX_STREAM = 1  # rng stream tag; batch shuffling owns stream 0
-
 
 @dataclass(frozen=True)
 class SemiConfig:
@@ -51,11 +48,6 @@ class SemiConfig:
             raise ParameterError(f"lambda_u must be finite and nonnegative, got {self.lambda_u}")
         if not is_real(self.aug_sigma) or not 0 <= self.aug_sigma < np.inf:
             raise ParameterError(f"aug_sigma must be finite and nonnegative, got {self.aug_sigma}")
-
-
-def mix_rng(seed: int, epoch: int) -> np.random.Generator:
-    """The rng that drives augmentation, guessing, and mixing draws."""
-    return np.random.default_rng([seed, _MIX_STREAM, epoch])
 
 
 def augment(x: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -99,7 +91,7 @@ def guess_labels(net: Network, u: np.ndarray, k_aug: int, temperature: float,
     copies = augment(np.broadcast_to(u, (k_aug, *u.shape)), sigma, rng)
     # stacked as (k, B, D), each copy gets the matrix products it would get
     # alone; flattened (k*B, D) rows round differently when B is 1
-    return sharpen(softmax(net.forward(copies)).mean(axis=0), temperature)
+    return sharpen(softmax(net.activations(copies)[1]).mean(axis=0), temperature)
 
 
 def mixup(x1: np.ndarray, p1: np.ndarray, x2: np.ndarray, p2: np.ndarray,
@@ -182,8 +174,8 @@ def semi_train_epoch(net: Network, confident_view, unconfident_view,
     sigma = semi_config.aug_sigma
 
     n = xl.shape[0]
-    perm = epoch_shuffle_rng(train_config.seed, epoch).permutation(n)
-    rng = mix_rng(train_config.seed, epoch)
+    perm = epoch_rng(train_config.seed, "shuffle", epoch).permutation(n)
+    rng = epoch_rng(train_config.seed, "mix", epoch)
     if use_unlabeled:
         u_order = rng.permutation(xu.shape[0])
 

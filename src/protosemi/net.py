@@ -15,10 +15,11 @@ import numpy as np
 
 from .errors import ParameterError
 
-_SHUFFLE_STREAM = 0  # rng stream tag for per-epoch batch shuffling
+# the tag of each epoch rng stream: one generator per (seed, stream, epoch)
+_STREAMS = {"shuffle": 0, "mix": 1, "repartition": 2}
 
-# ``forward`` and ``embed`` pass a 2-D input of more rows than this in
-# row blocks, so a full-set pass never holds every hidden layer at once
+# ``forward`` and ``embed`` pass a batch in row blocks of at most this many
+# rows, so a full-set pass never holds every hidden layer at once
 FORWARD_BLOCK_ROWS = 1024
 
 
@@ -107,45 +108,33 @@ class Network:
         return acts, logits
 
     def _in_blocks(self, x: np.ndarray, logits: bool) -> np.ndarray:
-        """Logits or last hidden layer of a (B, D) input, one row block at a time.
+        """Logits or last hidden layer of a (B, D) batch, one row block at a time.
 
-        Each block is passed on its own and its rows copied into one
-        preallocated output.  A matrix product gives a row the same bits
-        in any block of 2 or more rows, but a 1-row product takes numpy's
-        gemv path and rounds differently, so a 1-row tail joins the block
-        before it.
+        The batch is cut into ceil(B / FORWARD_BLOCK_ROWS) near-equal
+        blocks (one block for B <= FORWARD_BLOCK_ROWS), each passed on its
+        own and copied into one preallocated output.  A matrix product
+        gives a row the same bits in any block of 2 or more rows, and a
+        batch of more rows than FORWARD_BLOCK_ROWS leaves every block at
+        least half that many, so the blocks have the bits of one pass.
         """
-        n = len(x)
-        starts = list(range(0, n, FORWARD_BLOCK_ROWS))
-        if n - starts[-1] == 1:
-            del starts[-1]
-        out = np.empty((n, self.num_classes if logits else self.embed_dim))
-        for start, stop in zip(starts, starts[1:] + [n]):
-            acts, block_logits = self.activations(x[start:stop])
-            out[start:stop] = block_logits if logits else acts[-1]
+        x = np.atleast_2d(x)
+        if x.ndim != 2:
+            raise ParameterError(f"expected a (B, D) batch, got shape {x.shape}")
+        blocks = max(1, math.ceil(len(x) / FORWARD_BLOCK_ROWS))
+        out = np.empty((len(x), self.num_classes if logits else self.embed_dim))
+        for rows, block in zip(np.array_split(out, blocks), np.array_split(x, blocks)):
+            acts, block_logits = self.activations(block)
+            rows[...] = block_logits if logits else acts[-1]
             del acts, block_logits  # free this block's layers before the next is passed
         return out
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Logits for a (B, D) batch, or for a (k, B, D) stack of them.
-
-        A batch of more than ``FORWARD_BLOCK_ROWS`` rows is passed in row
-        blocks, with the bits of one pass.
-        """
-        if np.ndim(x) == 2 and len(x) > FORWARD_BLOCK_ROWS:
-            return self._in_blocks(x, logits=True)
-        return self.activations(x)[1]
+        """Logits for a (B, D) batch; a (D,) input gives (1, K)."""
+        return self._in_blocks(x, logits=True)
 
     def embed(self, x: np.ndarray) -> np.ndarray:
-        """Last hidden activation for one (D,) input or a (B, D) batch.
-
-        A batch of more than ``FORWARD_BLOCK_ROWS`` rows is passed in row
-        blocks, with the bits of one pass.
-        """
-        if np.ndim(x) == 2 and len(x) > FORWARD_BLOCK_ROWS:
-            return self._in_blocks(x, logits=False)
-        hidden = self.activations(x)[0][-1]
-        return hidden[0] if np.ndim(x) == 1 else hidden
+        """Last hidden activation for one (D,) input or a (B, D) batch."""
+        return self._in_blocks(x, logits=False).reshape(*np.shape(x)[:-1], self.embed_dim)
 
     def backprop(self, acts, logit_grad):
         """Gradients of a scalar loss given d(loss)/d(logits)."""
@@ -166,14 +155,12 @@ class Network:
     def sgd_step(self, grads_w, grads_b, lr: float, weight_decay: float = 0.0) -> None:
         """In-place SGD update; decay is an L2 term on the weights only."""
         for w, b, gw, gb in zip(self.weights, self.biases, grads_w, grads_b):
-            if weight_decay > 0.0:
-                # lr * (gw + weight_decay * w), in one temporary
-                step = weight_decay * w
-                step += gw
-                step *= lr
-                w -= step
-            else:
-                w -= lr * gw
+            # lr * (gw + weight_decay * w), in one temporary; at weight_decay 0
+            # this has the bits of lr * gw
+            step = weight_decay * w
+            step += gw
+            step *= lr
+            w -= step
             b -= lr * gb
 
     def params_equal(self, other: "Network") -> bool:
@@ -264,9 +251,13 @@ def cosine_lr(epoch: int, total: int, base_lr: float) -> float:
     return base_lr * (1.0 + math.cos(math.pi * epoch / total)) / 2.0
 
 
-def epoch_shuffle_rng(seed: int, epoch: int) -> np.random.Generator:
-    """The rng that orders batches for a given (seed, epoch)."""
-    return np.random.default_rng([seed, _SHUFFLE_STREAM, epoch])
+def epoch_rng(seed: int, stream: str, epoch: int) -> np.random.Generator:
+    """The generator of one rng stream of an epoch.
+
+    "shuffle" orders the batches, "mix" draws augmentation, label guessing
+    and mixing, and "repartition" decides ring-zone corrections.
+    """
+    return np.random.default_rng([seed, _STREAMS[stream], epoch])
 
 
 def train_epoch(net: Network, features: np.ndarray, labels: np.ndarray,
@@ -283,7 +274,7 @@ def train_epoch(net: Network, features: np.ndarray, labels: np.ndarray,
     if n == 0:
         raise ParameterError("training view must be nonempty")
     lr = cosine_lr(epoch_index, config.total_epochs, config.base_lr)
-    perm = epoch_shuffle_rng(config.seed, epoch_index).permutation(n)
+    perm = epoch_rng(config.seed, "shuffle", epoch_index).permutation(n)
     total_loss = 0.0
     for start in range(0, n, config.batch_size):
         stop = min(start + config.batch_size, n)

@@ -24,7 +24,16 @@ import numpy as np
 from .data import NoisyDataset, csv_line, read_lines, write_lines
 from .errors import DegenerateClassError, FormatError, ParameterError
 from .mixmatch import SemiConfig, semi_train_epoch
-from .net import Network, TrainConfig, init_network, is_int, is_real, require_int, train_epoch
+from .net import (
+    Network,
+    TrainConfig,
+    epoch_rng,
+    init_network,
+    is_int,
+    is_real,
+    require_int,
+    train_epoch,
+)
 from .select import (
     CorrectionRecord,
     StatsRow,
@@ -36,8 +45,6 @@ from .select import (
 )
 
 VARIANTS = ("full", "no_repar", "no_semi")
-
-_REPARTITION_STREAM = 2  # rng stream tag; shuffle owns 0, mixing owns 1
 
 # report CSV columns and cell parsers; the schedule and counts give epoch, phase, accuracy_pct
 _EPOCH_COLUMNS = {"epoch": str, "phase": str, "loss_labeled": float, "loss_unlabeled": float,
@@ -233,7 +240,7 @@ class RunResult:
 
 def repartition_rng(seed: int, epoch: int) -> np.random.Generator:
     """The rng that draws ring-zone correction decisions for an epoch."""
-    return np.random.default_rng([seed, _REPARTITION_STREAM, epoch])
+    return epoch_rng(seed, "repartition", epoch)
 
 
 def evaluate(net: Network, heldout: NoisyDataset) -> float:

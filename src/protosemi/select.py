@@ -251,14 +251,16 @@ def save_correction_log(log: list[CorrectionRecord], ds: NoisyDataset, path) -> 
         r.zone, r.action, r.p_correct, true[r.index]]) for r in log])
 
 
-def load_correction_log(path) -> list[CorrectionRecord]:
-    """Read a CSV exactly as :func:`save_correction_log` writes it.
+def load_correction_log(path, ds: NoisyDataset) -> list[CorrectionRecord]:
+    """Read a CSV exactly as :func:`save_correction_log` writes it for ``ds``.
 
     Each line holds the LOG_COLUMNS, comma-separated, with floats as
     their repr.  A row that save_correction_log would not write byte for
-    byte, or that no repartition could log, is a FormatError naming its
-    line.  A line may end in "\r\n" too, as logs of earlier versions do.
+    byte, whose index lies outside ``ds`` or whose true_label is not
+    ``ds``'s, or that no repartition could log, is a FormatError naming
+    its line.  A line may end in "\r\n" too, as logs of earlier versions do.
     """
+    true = ds.true_labels.tolist()
     records: list[CorrectionRecord] = []
     first_line: dict[int, int] = {}  # index -> line that listed it
     lines = (line.rstrip("\r\n") for line in read_lines(path))
@@ -290,8 +292,11 @@ def load_correction_log(path) -> list[CorrectionRecord]:
         if (rec.zone, rec.action) == ("small", "retained") and rec.proto_label != rec.prior_label:
             raise FormatError(f"{where}: small-circle row retains a label "
                               f"that differs from its prototype's")
-        if rec.index < 0:
-            raise FormatError(f"{where}: negative index")
+        if not 0 <= rec.index < ds.n:
+            raise FormatError(f"{where}: index {rec.index} outside dataset of {ds.n}")
+        if values[-1] != true[rec.index]:
+            raise FormatError(f"{where}: true_label {values[-1]} is not the dataset's "
+                              f"true label {true[rec.index]} at index {rec.index}")
         if rec.index in first_line:
             raise FormatError(f"{where}: index {rec.index} repeats line "
                               f"{first_line[rec.index]}")

@@ -164,7 +164,7 @@ class TestTrain:
         assert [c.epoch for c in report.corrections] == [4, 5]
         for entry in report.corrections:
             log_path = tmp_path / f"run.report.corrections-epoch{entry.epoch}.csv"
-            recomputed = correction_stats(load_correction_log(log_path), dataset)
+            recomputed = correction_stats(load_correction_log(log_path, dataset), dataset)
             assert recomputed == entry.stats
         stats_lines = (tmp_path / "run.report.stats.csv").read_text().splitlines()
         assert len(stats_lines) == 1 + len(report.corrections)
@@ -495,6 +495,24 @@ class TestStats:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    def test_log_is_checked_against_the_dataset_it_is_scored_with(self, tmp_path, capsys):
+        ds = three_class_dataset()
+        log_path = tmp_path / "log.csv"
+        save_correction_log(synthetic_small_circle_log(ds, corrected=3, right=2), ds, log_path)
+        labels = np.roll(ds.true_labels, 4)  # index 0 is class 2 here, class 0 in the log
+        other = NoisyDataset(ds.features, labels, labels, 3)
+        same_labels = NoisyDataset(ds.features + 1.0, ds.working_labels, ds.true_labels, 3)
+        outputs = []
+        for dataset in (ds, other, same_labels):
+            save_dataset(dataset, tmp_path / "d.ds")
+            code = main(["stats", "--log", str(log_path), "--data", str(tmp_path / "d.ds")])
+            outputs.append((code, *capsys.readouterr()))
+        assert outputs[0] == (0, "unconfident_size  small_circle  corrected  right  accuracy\n"
+                                 "3                 3             3          2      66.67%\n", "")
+        assert outputs[1] == (2, "", f"error: {log_path} line 2: true_label 0 is not the "
+                                     "dataset's true label 2 at index 0\n")
+        assert outputs[2] == outputs[0]
+
     def test_corrupt_log_exits_two(self, tmp_path, capsys):
         ds = three_class_dataset()
         log_path, data_path = tmp_path / "log.csv", tmp_path / "d.ds"
@@ -525,7 +543,8 @@ _TEXT_FILES = {
     "dataset": (lambda path, ds: save_dataset(ds, path), load_dataset),
     "config": (lambda path, ds: write_config(path), parse_config_file),
     "correction_log": (lambda path, ds: save_correction_log(
-        synthetic_small_circle_log(ds, corrected=3, right=2), ds, path), load_correction_log),
+        synthetic_small_circle_log(ds, corrected=3, right=2), ds, path),
+        lambda path: load_correction_log(path, three_class_dataset())),
     "report": (_write_report, parse_report),
 }
 

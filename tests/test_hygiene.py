@@ -2,9 +2,10 @@
 
 Checked: the package, the tests and the demos.  The package root is
 exempt, since its imports are its re-exports.  Also checked: the text
-rule of every file the package writes stays in ``data.py`` (no other
-package module opens a file to write, and no module imports ``csv``),
-and the test settings let the session go on past a failing property test.
+rule of every file the package writes stays in ``data.write_lines`` (no
+other function of the package opens a file to write, and no module
+imports ``csv``), every rng of the package is built in ``net.py``, and
+the test settings let the session go on past a failing property test.
 """
 
 import ast
@@ -73,8 +74,31 @@ def test_detects_a_write_open_and_a_csv_import():
 
 @pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_only_the_text_layer_writes_files(module):
-    if module.name != "data.py":
-        assert opens_to_write(module.read_text()) == []
+    source = module.read_text()
+    writers = [node.name for node in ast.parse(source).body
+               if isinstance(node, ast.FunctionDef) and opens_to_write(ast.unparse(node))]
+    expected = ["write_lines"] if module.name == "data.py" else []
+    assert writers == expected and len(opens_to_write(source)) == len(expected)
+
+
+def calls_default_rng(source: str) -> list:
+    """Lines that call numpy's ``default_rng``, by attribute or by imported name."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and (isinstance(node.func, ast.Attribute) and node.func.attr == "default_rng"
+                 or isinstance(node.func, ast.Name) and node.func.id == "default_rng")]
+
+
+def test_detects_a_default_rng_call():
+    source = "np.random.default_rng(0)\ndefault_rng([1, 2])\nrng.random()\nseeded_rng(0)\n"
+    assert calls_default_rng(source) == [1, 2]
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_net_builds_generators(module):
+    # one table of rng streams: every seeded generator comes from net.py
+    calls = calls_default_rng(module.read_text())
+    assert bool(calls) == (module.name == "net.py")
 
 
 @pytest.mark.parametrize("module", MODULES + [PACKAGE / "__init__.py"], ids=lambda p: p.name)

@@ -15,7 +15,6 @@ from protosemi.mixmatch import (
     brier_grads,
     guess_labels,
     lambda_ramp,
-    mix_rng,
     mixup,
     semi_train_epoch,
     sharpen,
@@ -25,7 +24,7 @@ from protosemi.net import (
     TrainConfig,
     cosine_lr,
     cross_entropy_grads,
-    epoch_shuffle_rng,
+    epoch_rng,
     init_network,
     one_hot,
     softmax,
@@ -209,7 +208,8 @@ class TestGuessLabels:
         rng = np.random.default_rng(4)
         got = guess_labels(net, u, 2, 0.5, 0.3, rng)
         rng = np.random.default_rng(4)
-        mean = softmax(net.forward(u + 0.3 * rng.standard_normal((2, 3, 3)))).mean(axis=0)
+        stack = u + 0.3 * rng.standard_normal((2, 3, 3))
+        mean = softmax(net.activations(stack)[1]).mean(axis=0)
         assert len(calls) == 1
         assert np.array_equal(calls[0][0], mean) and calls[0][1] == 0.5
         assert np.array_equal(got, real_sharpen(mean, 0.5))
@@ -426,7 +426,7 @@ class TestSemiTrainEpoch:
                          SemiConfig(lambda_u=1.0, aug_sigma=0.1), config, epoch)
 
         # the unlabeled order is the epoch's first mix draw; batches cycle it
-        u_order = mix_rng(config.seed, epoch).permutation(n_unlabeled)
+        u_order = epoch_rng(config.seed, "mix", epoch).permutation(n_unlabeled)
         starts = range(0, len(xl), batch_size)
         assert len(guessed) == len(targets) == len(starts)
         for start, (u, q), p1 in zip(starts, guessed, targets):
@@ -449,8 +449,8 @@ def _two_mixup_epoch(net, confident_view, xu, semi, config, epoch):
     use_unlabeled = xu.shape[0] > 0 and lam_u > 0.0
     sigma = semi.aug_sigma
     n = xl.shape[0]
-    perm = epoch_shuffle_rng(config.seed, epoch).permutation(n)
-    rng = mix_rng(config.seed, epoch)
+    perm = epoch_rng(config.seed, "shuffle", epoch).permutation(n)
+    rng = epoch_rng(config.seed, "mix", epoch)
     if use_unlabeled:
         u_order = rng.permutation(xu.shape[0])
         u_offset = 0

@@ -117,25 +117,47 @@ class TestForwardEmbed:
             net.forward(np.zeros((1, 5)))
 
     @pytest.mark.parametrize("rows", [
-        FORWARD_BLOCK_ROWS - 1, FORWARD_BLOCK_ROWS, FORWARD_BLOCK_ROWS + 1,
-        2 * FORWARD_BLOCK_ROWS + 1, 3 * FORWARD_BLOCK_ROWS + 7,
+        0, 1, 2, FORWARD_BLOCK_ROWS - 1, FORWARD_BLOCK_ROWS, FORWARD_BLOCK_ROWS + 1,
+        2 * FORWARD_BLOCK_ROWS + 1, 3 * FORWARD_BLOCK_ROWS + 7, 10000,
     ])
-    def test_row_blocks_keep_the_bits_of_one_pass(self, rows):
-        # FORWARD_BLOCK_ROWS + 1 and 2 * FORWARD_BLOCK_ROWS + 1 would leave a
-        # 1-row block, whose gemv product rounds unlike the gemm of one pass
+    def test_row_blocks_keep_the_bits_of_one_pass(self, rows, monkeypatch):
+        # a 1-row block would take numpy's gemv path, which rounds unlike
+        # the gemm of one pass; FORWARD_BLOCK_ROWS + 1 and
+        # 2 * FORWARD_BLOCK_ROWS + 1 rows would leave one in fixed-size blocks
         net = init_network([16, 32, 16, 4], seed=5)
         x = np.random.default_rng(rows).standard_normal((rows, 16))
         acts, logits = net.activations(x)
-        assert np.array_equal(net.forward(x), logits)
-        assert np.array_equal(net.embed(x), acts[-1])
+        blocks = []
+        real_activations = Network.activations
+
+        def spy_activations(self, batch):
+            blocks.append(len(batch))
+            return real_activations(self, batch)
+
+        monkeypatch.setattr(Network, "activations", spy_activations)
+        for got, want in ((net.forward(x), logits), (net.embed(x), acts[-1])):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # forward, then embed: each one block per FORWARD_BLOCK_ROWS rows begun
+        calls = max(1, math.ceil(rows / FORWARD_BLOCK_ROWS))
+        assert len(blocks) == 2 * calls and sum(blocks) == 2 * rows
+        assert max(blocks) <= FORWARD_BLOCK_ROWS
+        assert rows <= 1 or min(blocks) > 1
+
+    @pytest.mark.parametrize("method", ["forward", "embed"])
+    def test_a_stack_is_a_parameter_error(self, method):
+        net = init_network([16, 32, 16, 4], seed=5)
+        with pytest.raises(ParameterError, match=r"\(B, D\) batch, got shape \(2, 3, 16\)"):
+            getattr(net, method)(np.zeros((2, 3, 16)))
 
     def test_stack_and_single_vector_pass_whole(self):
+        # guess_labels passes its (k, B, D) stack of copies to activations,
+        # which gives each copy the bits of its own pass
         net = init_network([16, 32, 16, 4], seed=5)
         rng = np.random.default_rng(0)
         stack = rng.standard_normal((2, FORWARD_BLOCK_ROWS + 1, 16))
-        logits = net.forward(stack)
+        logits = net.activations(stack)[1]
         assert logits.shape == (2, FORWARD_BLOCK_ROWS + 1, 4)
-        assert np.array_equal(logits, net.activations(stack)[1])
+        assert np.array_equal(logits, np.stack([net.activations(c)[1] for c in stack]))
         x = rng.standard_normal(16)
         assert np.array_equal(net.embed(x), net.activations(x[None, :])[0][-1][0])
 

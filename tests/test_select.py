@@ -515,7 +515,7 @@ class TestCorrectionLogCsv:
                              np.random.default_rng([45, 2, 0]))
         path = tmp_path / "log.csv"
         save_correction_log(log, ds, path)
-        assert load_correction_log(path) == log
+        assert load_correction_log(path, ds) == log
 
     def test_stats_survive_round_trip(self, tmp_path):
         net, ds = small_noisy_setup(seed=46)
@@ -524,7 +524,7 @@ class TestCorrectionLogCsv:
                              np.random.default_rng([46, 2, 0]))
         path = tmp_path / "log.csv"
         save_correction_log(log, ds, path)
-        assert correction_stats(load_correction_log(path), ds) == correction_stats(log, ds)
+        assert correction_stats(load_correction_log(path, ds), ds) == correction_stats(log, ds)
 
     def test_every_log_of_a_benchmark_run_rewrites_byte_for_byte(self, tmp_path):
         data, heldout, report = (str(tmp_path / name) for name in ("d.ds", "h.ds", "run.report"))
@@ -537,15 +537,17 @@ class TestCorrectionLogCsv:
         logs = sorted(tmp_path.glob("run.report.corrections-epoch*.csv"))
         assert len(logs) == 10
         for path in logs:
-            log = load_correction_log(path)
+            log = load_correction_log(path, ds)
             save_correction_log(log, ds, tmp_path / "again.csv")
             assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
             # earlier versions ended each log line in "\r\n"
             crlf = tmp_path / "crlf.csv"
             crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-            assert load_correction_log(crlf) == log
+            assert load_correction_log(crlf, ds) == log
 
     _LOGGED = "0,0.95,1,0,small,corrected,1.0,1\n"
+    # a dataset whose true labels at indices 0, 1 and 3 are the 1 the rows below log
+    _DS = NoisyDataset(np.zeros((4, 2)), [1, 1, 0, 1], [1, 1, 0, 1], 2)
 
     @pytest.mark.parametrize("body, line, message", [
         (_LOGGED + '"3",0.97,1,0,small,corrected,1.0,1\n', 3, "unparsable field"),
@@ -567,7 +569,7 @@ class TestCorrectionLogCsv:
         path = tmp_path / "log.csv"
         path.write_text(",".join(LOG_COLUMNS) + "\n" + body)
         with pytest.raises(FormatError) as info:
-            load_correction_log(path)
+            load_correction_log(path, self._DS)
         assert str(info.value).startswith(f"{path} line {line}: ")
         assert message in str(info.value) and "\n" not in str(info.value)
 
@@ -575,7 +577,7 @@ class TestCorrectionLogCsv:
         path = tmp_path / "log.csv"
         path.write_text("index,zone\n0,small\n")
         with pytest.raises(FormatError):
-            load_correction_log(path)
+            load_correction_log(path, self._DS)
 
     def test_bad_zone_rejected(self, tmp_path):
         path = tmp_path / "log.csv"
@@ -584,7 +586,7 @@ class TestCorrectionLogCsv:
             "0,0.5,1,0,nowhere,corrected,1.0,1\n"
         )
         with pytest.raises(FormatError):
-            load_correction_log(path)
+            load_correction_log(path, self._DS)
 
     @pytest.mark.parametrize("row", [
         "1,0.1,1,0,outside,corrected,7.5,1",   # an action outside does not take
@@ -604,7 +606,7 @@ class TestCorrectionLogCsv:
             "0,0.95,1,0,small,corrected,1.0,1\n" + row + "\n"
         )
         with pytest.raises(FormatError, match="line 3:"):
-            load_correction_log(path)
+            load_correction_log(path, self._DS)
 
     def test_unparsable_number_rejected(self, tmp_path):
         path = tmp_path / "log.csv"
@@ -613,7 +615,7 @@ class TestCorrectionLogCsv:
             "0,oops,1,0,small,corrected,1.0,1\n"
         )
         with pytest.raises(FormatError):
-            load_correction_log(path)
+            load_correction_log(path, self._DS)
 
     @staticmethod
     def _written_log(tmp_path):
@@ -639,13 +641,13 @@ class TestCorrectionLogCsv:
         raise AssertionError(f"no {zone},{action} row")
 
     def test_repeated_index_rejected(self, tmp_path):
-        path, _ = self._written_log(tmp_path)
+        path, ds = self._written_log(tmp_path)
         lines = path.read_text().splitlines()
         first = next(n for n, line in enumerate(lines, start=1) if ",small,corrected," in line)
         path.write_text("\n".join(lines + [lines[first - 1]]) + "\n")
         index = lines[first - 1].split(",")[0]
         with pytest.raises(FormatError) as info:
-            load_correction_log(path)
+            load_correction_log(path, ds)
         assert str(info.value) == (
             f"{path} line {len(lines) + 1}: index {index} repeats line {first}")
 
@@ -658,17 +660,17 @@ class TestCorrectionLogCsv:
     ], ids=["small-keeps-label", "ring-keeps-label", "small-retains-differing"])
     def test_labels_contradicting_the_action_rejected(self, tmp_path, zone, action, edit,
                                                       message):
-        path, _ = self._written_log(tmp_path)
+        path, ds = self._written_log(tmp_path)
         lineno = self._edit_first(path, zone, action, edit)
         with pytest.raises(FormatError, match=f"line {lineno}: {message}"):
-            load_correction_log(path)
+            load_correction_log(path, ds)
 
     def test_consistent_labels_accepted(self, tmp_path):
         path, ds = self._written_log(tmp_path)
         # a ring row may retain a differing label; a small one may retain a matching one
         self._edit_first(path, "small", "corrected",
                          lambda f: f[:3] + [f[2]] + ["small", "retained"] + f[6:])
-        log = load_correction_log(path)
+        log = load_correction_log(path, ds)
         assert any(r.zone == "ring" and r.action == "retained"
                    and r.proto_label != r.prior_label for r in log)
         assert correction_stats(log, ds).unconfident_size == len(log)
@@ -677,7 +679,7 @@ class TestCorrectionLogCsv:
         ("outside", "unmoved"), ("ring", "retained"), ("small", "corrected")])
     def test_every_index_range_checked(self, tmp_path, zone, action):
         path, ds = self._written_log(tmp_path)
-        self._edit_first(path, zone, action, lambda f: ["99999999"] + f[1:])
-        log = load_correction_log(path)  # the dataset's size is not known here
-        with pytest.raises(FormatError, match="index 99999999 outside dataset of 30"):
-            correction_stats(log, ds)
+        lineno = self._edit_first(path, zone, action, lambda f: ["99999999"] + f[1:])
+        with pytest.raises(FormatError) as info:
+            load_correction_log(path, ds)
+        assert str(info.value) == f"{path} line {lineno}: index 99999999 outside dataset of 30"
