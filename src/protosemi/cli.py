@@ -107,15 +107,15 @@ def _cmd_train(args) -> int:
     heldout = load_dataset(args.heldout)
     result = run_with_artifacts(dataset, heldout, config, args.variant)
     report = result.report
-    if args.export_embeddings:
-        # the run's dataset holds the corrected labels the last epoch trained on
-        export_embeddings(result.net, result.dataset, args.export_embeddings)
-
     write_report(report, args.report)
     for epoch, log in result.correction_logs:
         save_correction_log(log, dataset, f"{args.report}.corrections-epoch{epoch}.csv")
     if report.corrections:
         write_stats_csv(report.corrections, f"{args.report}.stats.csv")
+    if args.export_embeddings:
+        # after the run's own files, so a failed export leaves them written;
+        # the run's dataset holds the corrected labels the last epoch trained on
+        export_embeddings(result.net, result.dataset, args.export_embeddings)
 
     print(f"variant={report.variant} seed={report.config.seed} epochs={len(report.epochs)}")
     print(f"best accuracy  {report.best_accuracy:.4f} (epoch {report.best_epoch})")

@@ -16,10 +16,6 @@ class FormatError(ProtoSemiError, ValueError):
 class DegenerateClassError(ProtoSemiError):
     """A class has no confident samples, so its prototype is undefined."""
 
-    def __init__(self, message, class_index=None):
-        super().__init__(message)
-        self.class_index = class_index
-
 
 class DegenerateGeometryError(ProtoSemiError):
     """A zero vector makes cosine similarity undefined."""

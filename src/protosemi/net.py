@@ -68,22 +68,21 @@ class TrainConfig:
 class Network:
     """Multilayer perceptron: tanh hidden layers, linear output logits."""
 
-    def __init__(self, layer_dims, weights, biases):
-        self.layer_dims = [int(d) for d in layer_dims]
-        self.weights = weights  # weights[l]: (dims[l], dims[l+1])
+    def __init__(self, weights, biases):
+        self.weights = weights  # weights[l]: (fan_in, fan_out); the dims read these shapes
         self.biases = biases
 
     @property
     def input_dim(self) -> int:
-        return self.layer_dims[0]
+        return self.weights[0].shape[0]
 
     @property
     def num_classes(self) -> int:
-        return self.layer_dims[-1]
+        return self.weights[-1].shape[1]
 
     @property
     def embed_dim(self) -> int:
-        return self.layer_dims[-2]
+        return self.weights[-1].shape[0]
 
     def activations(self, batch: np.ndarray):
         """Forward a (B, D) batch; returns (activation list, logits).
@@ -163,12 +162,6 @@ class Network:
             w -= step
             b -= lr * gb
 
-    def params_equal(self, other: "Network") -> bool:
-        return self.layer_dims == other.layer_dims and all(
-            np.array_equal(a, b)
-            for a, b in zip(self.weights + self.biases, other.weights + other.biases)
-        )
-
 
 def init_network(layer_dims, seed: int) -> Network:
     """Fresh network: weights uniform in +-1/sqrt(fan_in), biases zero.
@@ -187,7 +180,7 @@ def init_network(layer_dims, seed: int) -> Network:
         scale = 1.0 / math.sqrt(fan_in)
         weights.append(rng.uniform(-scale, scale, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return Network(dims, weights, biases)
+    return Network(weights, biases)
 
 
 def _class_max(z: np.ndarray) -> np.ndarray:

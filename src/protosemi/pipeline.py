@@ -278,9 +278,7 @@ def run_with_artifacts(dataset: NoisyDataset, heldout: NoisyDataset,
                     part, log = repartition(net, ds, part, config.thresholds,
                                             repartition_rng(config.seed, epoch))
                 except DegenerateClassError as err:
-                    raise DegenerateClassError(
-                        f"epoch {epoch}: {err}", class_index=err.class_index
-                    ) from err
+                    raise DegenerateClassError(f"epoch {epoch}: {err}") from err
                 corrections.append(CorrectionEpoch(epoch, correction_stats(log, ds)))
                 logs.append((epoch, log))
             if part.confident_idx.size == 0:
@@ -304,13 +302,17 @@ def export_embeddings(net: Network, dataset: NoisyDataset, path) -> None:
 
     The split and prototypes are built from ``net`` and the dataset's
     current working labels, as a next epoch would build them, before
-    the file is opened, so a degenerate split writes nothing.  Prototype
-    rows come first (label = class index, no true label), then one row
-    per unconfident sample in ascending index order with its working
-    label and true label.  Floats round-trip.
+    the file is opened, so a degenerate split writes nothing and raises
+    a DegenerateClassError that names ``path``.  Prototype rows come
+    first (label = class index, no true label), then one row per
+    unconfident sample in ascending index order with its working label
+    and true label.  Floats round-trip.
     """
     partition = split_by_agreement(net, dataset)
-    prototypes = build_prototypes(net, dataset, partition)
+    try:
+        prototypes = build_prototypes(net, dataset, partition)
+    except DegenerateClassError as err:
+        raise DegenerateClassError(f"cannot export embeddings to {path}: {err}") from err
     m = prototypes.rows.shape[1]
     lines = [csv_line(["row_type", "label", "true_label"] + [f"e{j}" for j in range(m)])]
     for k, row in enumerate(prototypes.rows.tolist()):

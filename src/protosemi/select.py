@@ -72,11 +72,6 @@ class Partition:
         if self.confident_idx.shape != self.confident_labels.shape:
             raise ParameterError("confident indices and labels must align")
 
-    def covers_exactly(self, n: int) -> bool:
-        """True iff confident and unconfident together tile {0..n-1}."""
-        merged = np.concatenate([self.confident_idx, self.unconfident_idx])
-        return merged.size == n and np.array_equal(np.sort(merged), np.arange(n))
-
 
 @dataclass(frozen=True)
 class PrototypeMatrix:
@@ -138,11 +133,8 @@ def build_prototypes(net: Network, ds: NoisyDataset, partition: Partition) -> Pr
     k = ds.num_classes
     counts = np.bincount(partition.confident_labels, minlength=k)
     if np.any(counts == 0):
-        empty = int(np.argmin(counts))
         raise DegenerateClassError(
-            f"class {empty} has no confident samples; prototype undefined",
-            class_index=empty,
-        )
+            f"class {int(np.argmin(counts))} has no confident samples; prototype undefined")
     embeddings = net.embed(ds.features[partition.confident_idx])
     rows = np.empty((k, net.embed_dim))
     for c in range(k):

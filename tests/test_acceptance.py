@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import covers_exactly, params_equal
 from protosemi.cli import parse_config_file
 from protosemi.data import (
     NoisyDataset,
@@ -201,7 +202,7 @@ def test_criterion_2_oracle_equivalence():
         assert [(r.index, r.zone, r.action, r.proto_label) for r in log] == decisions
         for i, lab in moved.items():
             assert int(ds.working_labels[i]) == lab
-        assert new_part.covers_exactly(ds.n)
+        assert covers_exactly(new_part, ds.n)
     elapsed = time.time() - start
     verdict(2, elapsed < 10.0,
             f"split/prototype/correction oracles agree on 5 seeds "
@@ -332,7 +333,7 @@ def test_criterion_6_invariant_suite(tmp_path):
 
     result = run_with_artifacts(train, heldout, config, "full")
     part = split_by_agreement(result.net, train)
-    checks["partition"] = part.covers_exactly(train.n)
+    checks["partition"] = covers_exactly(part, train.n)
 
     p = rng.random((8, 4))
     p /= p.sum(axis=1, keepdims=True)
@@ -388,7 +389,7 @@ def test_criterion_6_invariant_suite(tmp_path):
     other = run_with_artifacts(shuffled, heldout, config, "full")
     checks["hygiene"] = (
         other.report.epochs == result.report.epochs
-        and other.net.params_equal(result.net)
+        and params_equal(other.net, result.net)
     )
 
     elapsed = time.time() - start

@@ -256,7 +256,9 @@ class TestTrain:
         assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
         assert not report.exists()
 
-    def test_starved_class_exits_three(self, tmp_path, capsys):
+    @staticmethod
+    def starved_class_run(tmp_path) -> list:
+        """Train argv, less --variant and --report, of a run whose class 0 never agrees."""
         # base_lr=0 freezes the net at init, so agreement is predictable
         # and one class can be arranged to never agree
         seed = 123
@@ -276,11 +278,27 @@ class TestTrain:
             tmp_path / "run.cfg", hidden_dims="6", warmup_epochs="1",
             proto_split_epochs="1", main_epochs="1", base_lr="0.0",
             batch_size="8", aug_sigma="0.0", seed=str(seed))
-        code = main(["train", "--config", str(config), "--data", str(train_path),
-                     "--heldout", str(heldout_path), "--report", str(tmp_path / "r")])
+        return ["train", "--config", str(config), "--data", str(train_path),
+                "--heldout", str(heldout_path)]
+
+    def test_starved_class_exits_three(self, tmp_path, capsys):
+        code = main(self.starved_class_run(tmp_path) + ["--report", str(tmp_path / "r")])
         assert code == 3
         err = capsys.readouterr().err
         assert "epoch 1:" in err and "class 0" in err
+
+    def test_failed_export_keeps_the_runs_report(self, tmp_path, capsys):
+        # no_repar builds no prototype, so the run ends; the export's does not
+        argv = self.starved_class_run(tmp_path) + ["--variant", "no_repar"]
+        plain, exported, emb = tmp_path / "plain.report", tmp_path / "r", tmp_path / "e.csv"
+        assert main(argv + ["--report", str(plain)]) == 0
+        capsys.readouterr()
+        code = main(argv + ["--report", str(exported), "--export-embeddings", str(emb)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(emb) in err and "class 0 has no confident samples" in err
+        assert exported.read_bytes() == plain.read_bytes()
+        assert not emb.exists()
 
     def test_no_confident_sample_exits_three(self, tmp_path, capsys):
         # base_lr=0 freezes the net at init; labelling every sample one

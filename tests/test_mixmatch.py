@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import params_equal
 from protosemi import mixmatch
 from protosemi.errors import ParameterError
 from protosemi.mixmatch import (
@@ -142,8 +143,7 @@ class TestGuessLabels:
 
     def test_constant_net_ignores_input_and_k(self):
         bias = np.array([0.2, 1.5, -0.3])
-        net = Network([2, 2, 3], [np.zeros((2, 2)), np.zeros((2, 3))],
-                      [np.zeros(2), bias])
+        net = Network([np.zeros((2, 2)), np.zeros((2, 3))], [np.zeros(2), bias])
         g1 = guess_labels(net, np.array([[9.0, -9.0]]), 1, 0.5, 1.0,
                           np.random.default_rng(1))
         g2 = guess_labels(net, np.array([[0.0, 0.1]]), 4, 0.5, 1.0,
@@ -340,7 +340,7 @@ class TestSemiTrainEpoch:
             loss_l, loss_u = semi_train_epoch(net_b, (xl, yl), xu, semi, config, epoch)
             assert loss_u == 0.0
             assert loss_l == loss_plain
-        assert net_a.params_equal(net_b)
+        assert params_equal(net_a, net_b)
 
     def test_empty_unlabeled_view_is_supported(self):
         xl, yl, _ = toy_views(seed=2)
@@ -363,7 +363,7 @@ class TestSemiTrainEpoch:
         loss_off = semi_train_epoch(net_off, (xl, yl), xu, off, config, 1)
         assert loss_on[1] > 0.0
         assert loss_off[1] == 0.0
-        assert not net_on.params_equal(net_off)
+        assert not params_equal(net_on, net_off)
 
     def test_seeded_rerun_is_identical(self):
         xl, yl, xu = toy_views(seed=4)
@@ -374,7 +374,7 @@ class TestSemiTrainEpoch:
         losses_a = [semi_train_epoch(net_a, (xl, yl), xu, semi, config, e) for e in range(3)]
         losses_b = [semi_train_epoch(net_b, (xl, yl), xu, semi, config, e) for e in range(3)]
         assert losses_a == losses_b
-        assert net_a.params_equal(net_b)
+        assert params_equal(net_a, net_b)
 
     def test_empty_confident_view_rejected(self):
         config = TrainConfig(base_lr=0.05, total_epochs=1, batch_size=4, seed=0)
@@ -401,7 +401,7 @@ class TestSemiTrainEpoch:
             train_epoch(net, xl, yl, config, epoch)
         with pytest.raises(ParameterError, match=gate):
             semi_train_epoch(net, (xl, yl), xu, SemiConfig(), config, epoch)
-        assert net.params_equal(before)
+        assert params_equal(net, before)
 
     @pytest.mark.parametrize("n_unlabeled", [1, 8, 9])  # one row, batch_size, batch_size + 1
     def test_each_pool_row_is_guessed_once_per_batch(self, monkeypatch, n_unlabeled):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import params_equal
 from protosemi.errors import ParameterError
 from protosemi.net import (
     FORWARD_BLOCK_ROWS,
@@ -63,8 +64,11 @@ class TestInit:
     def test_deterministic(self):
         a = init_network([2, 4, 3], seed=5)
         b = init_network([2, 4, 3], seed=5)
-        assert a.params_equal(b)
-        assert not a.params_equal(init_network([2, 4, 3], seed=6))
+        assert params_equal(a, b)
+        assert not params_equal(a, init_network([2, 4, 3], seed=6))
+        # nets whose shapes differ are never equal
+        assert not params_equal(a, init_network([2, 5, 3], seed=5))
+        assert not params_equal(a, init_network([2, 4, 4, 3], seed=5))
 
     def test_no_hidden_layer_rejected(self):
         with pytest.raises(ParameterError):
@@ -83,9 +87,9 @@ class TestInit:
 
 class TestForwardEmbed:
     def test_zero_net_gives_uniform_softmax(self):
-        dims = [3, 4, 5]
-        net = Network(dims, [np.zeros((3, 4)), np.zeros((4, 5))],
-                      [np.zeros(4), np.zeros(5)])
+        net = Network([np.zeros((3, 4)), np.zeros((4, 5))], [np.zeros(4), np.zeros(5)])
+        # the dims are read from the weight shapes
+        assert (net.input_dim, net.embed_dim, net.num_classes) == (3, 4, 5)
         logits = net.forward(np.array([[1.0, -2.0, 0.5]]))
         assert logits.shape == (1, 5)
         assert np.all(logits == 0.0)
@@ -101,7 +105,6 @@ class TestForwardEmbed:
     def test_hand_computed_two_layer_case(self):
         # scalar arithmetic done by hand, no matrix ops
         net = Network(
-            [2, 1, 2],
             [np.array([[0.5], [-0.25]]), np.array([[2.0, -1.0]])],
             [np.array([0.1]), np.array([0.05, -0.05])],
         )
@@ -175,7 +178,7 @@ def cross_entropy_of(logits, label):
     """Loss of cross_entropy_grads on a one-row batch whose logits are given."""
     k = len(logits)
     # zero weights make the logits equal the output bias for any input
-    net = Network([1, 1, k], [np.zeros((1, 1)), np.zeros((1, k))],
+    net = Network([np.zeros((1, 1)), np.zeros((1, k))],
                   [np.zeros(1), np.array(logits, dtype=np.float64)])
     return cross_entropy_grads(net, np.zeros((1, 1)), one_hot([label], k))[0]
 
@@ -269,7 +272,7 @@ class TestTrainEpoch:
         before = copy.deepcopy(net)
         config = TrainConfig(base_lr=0.0, total_epochs=3, batch_size=8, seed=0)
         loss = train_epoch(net, features, labels, config, 0)
-        assert net.params_equal(before)
+        assert params_equal(net, before)
         # with no updates the epoch loss is the plain dataset mean loss
         expected = cross_entropy_grads(net, features, one_hot(labels, 2))[0]
         assert loss == pytest.approx(expected, rel=1e-12)
@@ -300,7 +303,7 @@ class TestTrainEpoch:
         for epoch in range(4):
             train_epoch(net_a, features, labels, config, epoch)
             train_epoch(net_b, features, labels, config, epoch)
-        assert net_a.params_equal(net_b)
+        assert params_equal(net_a, net_b)
 
     def test_empty_view_rejected(self):
         net = init_network([4, 5, 2], seed=0)

@@ -10,22 +10,39 @@ import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
 
-# The report digests of the first input.  A change that moves report bytes
-# must edit these in the same change and say why in CHANGES.md.
+# The report digests of the first input, per OpenBLAS kernel of the numpy
+# wheel (numpy 2.4.6, BLAS scipy-openblas 0.3.31.188.0): the kernels round
+# some products differently, so one run digests differently under each.  A
+# change that moves report bytes must edit these in the same change and say
+# why in CHANGES.md.
 GOLDEN_REPORTS = {
-    "p500-s0.no_semi.report": "f488e78141f1ae0040b0e4ca8ad1197c60b0d4790933c93f5b4fe7d211f48655",
-    "p500-s0.full.report": "1967279c51df10283b64540095f8d24b2bf04a68f4866dd212a8556d257a38ba",
+    "SkylakeX": {
+        "p500-s0.no_semi.report": "f488e78141f1ae0040b0e4ca8ad1197c60b0d4790933c93f5b4fe7d211f48655",
+        "p500-s0.full.report": "1967279c51df10283b64540095f8d24b2bf04a68f4866dd212a8556d257a38ba",
+    },
+    "Haswell": {
+        "p500-s0.no_semi.report": "fa83b28515108899e86c4d6aa1d4b590413073f2134514c39581d3421cd9a336",
+        "p500-s0.full.report": "efcdcd0aa631a321ee1b7740c35b6dfa92c587630199a36c1a6e333df469ca4e",
+    },
+    "Sandybridge": {
+        "p500-s0.no_semi.report": "bf8d45e8060271b4d68fcaf05c1e15b6bebd093eb4dd2a56f525dcd6cf45b744",
+        "p500-s0.full.report": "ce38d54321afdabc2fd2c0f6002b4ad85bd27427502a03ed61c86b9be87e1b82",
+    },
 }
+KERNEL_LINE = "OpenBLAS kernel: "
 
 
-def digests(outdir) -> list:
+def digests(outdir) -> tuple:
+    """The OpenBLAS kernel the script ran under, and its stdout lines."""
     run = subprocess.run([sys.executable, str(SCRIPT), str(outdir), "--inputs", "1"],
                          capture_output=True, text=True, check=True)
-    return run.stdout.splitlines()
+    kernel = next(line.removeprefix(KERNEL_LINE) for line in run.stderr.splitlines()
+                  if line.startswith(KERNEL_LINE))
+    return kernel, run.stdout.splitlines()
 
 
 @pytest.fixture(scope="module")
-def first(tmp_path_factory) -> list:
+def first(tmp_path_factory) -> tuple:
     return digests(tmp_path_factory.mktemp("digests"))
 
 
@@ -39,7 +56,7 @@ def numerics() -> str:
 
 def test_same_seed_gives_the_same_digests(first, tmp_path):
     assert first == digests(tmp_path)
-    names = [line.split("  ", 1)[1] for line in first]
+    names = [line.split("  ", 1)[1] for line in first[1]]
     # the dataset pair, both reports, the full run's logs and stats, every command's streams
     for name in ("p500-s0.ds", "p500-s0.heldout.ds", "p500-s0.full.report",
                  "p500-s0.no_semi.report", "p500-s0.full.emb.csv",
@@ -51,11 +68,15 @@ def test_same_seed_gives_the_same_digests(first, tmp_path):
 
 
 def test_report_bytes_match_the_golden_digests(first):
-    got = {name: digest for digest, name in (line.split("  ", 1) for line in first)}
-    for name, want in GOLDEN_REPORTS.items():
+    kernel, lines = first
+    assert kernel in GOLDEN_REPORTS, (
+        f"no golden digests recorded for OpenBLAS kernel {kernel!r} under {numerics()}")
+    got = {name: digest for digest, name in (line.split("  ", 1) for line in lines)}
+    for name, want in GOLDEN_REPORTS[kernel].items():
         assert got[name] == want, (
-            f"{name} digests to {got[name]}, not {want}, under {numerics()}; the digests "
-            "were recorded under numpy 2.4.6, BLAS scipy-openblas 0.3.31.188.0")
+            f"{name} digests to {got[name]}, not {want}, under {numerics()} and the "
+            f"{kernel} kernel; the digests were recorded under numpy 2.4.6, BLAS "
+            "scipy-openblas 0.3.31.188.0")
 
 
 def test_refuses_a_directory_with_files(tmp_path):

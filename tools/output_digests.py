@@ -17,12 +17,18 @@ It prints one ``sha256  name`` line per output file and per command's
 stdout, stderr and exit code.  Every path a command sees is relative to
 OUTDIR, so two checkouts whose outputs are byte-identical print the same
 lines, and comparing them is a ``diff`` of the two listings.
+
+On stderr it prints ``OpenBLAS kernel: NAME``: the kernel that numpy's
+bundled OpenBLAS runs (``unknown`` for another BLAS).  The kernels of one
+OpenBLAS build round some products differently, so their digests differ;
+``OPENBLAS_CORETYPE`` picks another kernel for one process.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import io
 import os
@@ -80,6 +86,19 @@ def digest_outputs(inputs: int) -> list:
     return [f"{sha256(p.read_bytes())}  {p.name}" for p in files] + lines
 
 
+def blas_kernel() -> str:
+    """The kernel name numpy's bundled OpenBLAS reports, or ``unknown``."""
+    import numpy as np
+
+    # the library numpy has loaded; opening it again returns the same handle
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        with contextlib.suppress(OSError, AttributeError):
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("outdir", type=Path)
@@ -94,6 +113,7 @@ def main(argv=None) -> int:
         parser.error(f"{args.outdir} is not empty")
     os.chdir(args.outdir)
     print("\n".join(digest_outputs(args.inputs)))
+    print(f"OpenBLAS kernel: {blas_kernel()}", file=sys.stderr)
     return 0
 
 
