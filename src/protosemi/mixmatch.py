@@ -1,12 +1,12 @@
 """Semi-supervised training over a labeled/unlabeled split.
 
-Each distinct row of an unlabeled batch receives one guessed label
-distribution (mean softmax over a few jittered copies, sharpened by
-temperature), shared by every occurrence of that row in the batch; then
-labeled and unlabeled batches are mixed against a shared shuffled pool
-of both.  The loss is soft-target cross-entropy on the mixed labeled
-batch plus a weighted squared error between predicted and guessed
-distributions on the mixed unlabeled batch.
+Each labeled batch of b rows is paired with min(b, pool) distinct
+unlabeled rows, each of which receives one guessed label distribution
+(mean softmax over a few jittered copies, sharpened by temperature);
+then labeled and unlabeled batches are mixed against a shared shuffled
+pool of both.  The loss is soft-target cross-entropy on the mixed
+labeled batch plus a weighted squared error between predicted and
+guessed distributions on the mixed unlabeled batch.
 """
 
 from __future__ import annotations
@@ -81,12 +81,11 @@ def guess_labels(net: Network, u: np.ndarray, k_aug: int, temperature: float,
     """Guessed label distributions for a (B, D) batch of unlabeled rows.
 
     Averages the softmax outputs of k_aug jittered copies of u, then
-    sharpens the average.  Every row given is guessed: callers that hold
-    repeated rows pass each distinct row once (``semi_train_epoch``
-    does).  All copies are jittered by one bulk draw, which gives the
-    same values as one draw per copy in order, and share one forward
-    pass.  k_aug, temperature and sigma come from a validated
-    ``SemiConfig``.
+    sharpens the average.  Every row given is guessed
+    (``semi_train_epoch`` passes distinct rows).  All copies are
+    jittered by one bulk draw, which gives the same values as one draw
+    per copy in order, and share one forward pass.  k_aug, temperature
+    and sigma come from a validated ``SemiConfig``.
     """
     copies = augment(np.broadcast_to(u, (k_aug, *u.shape)), sigma, rng)
     # stacked as (k, B, D), each copy gets the matrix products it would get
@@ -150,10 +149,10 @@ def semi_train_epoch(net: Network, confident_view, unconfident_view,
     m possibly 0, treated as unlabeled.  ``semi_config`` is trusted: the
     per-batch steps do not re-check its values.  Labeled
     batches follow the same shuffle stream as plain supervised training;
-    each is paired with an equal-size unlabeled batch cycled from a
-    shuffled unlabeled order.  A pool smaller than the batch repeats its
-    rows within the batch: each distinct row gets one label guess, which
-    all its occurrences share, while every occurrence gets its own jitter.
+    the batch at shuffle positions start..start+b-1 is paired with the
+    d = min(b, m) rows at positions start..start+d-1 (mod m) of a
+    shuffled unlabeled order.  Each of these distinct rows is jittered,
+    guessed and mixed once, and the Brier term is their mean.
     Returns (labeled loss, unlabeled loss), both measured before the
     updates of their batch.
 
@@ -191,13 +190,11 @@ def semi_train_epoch(net: Network, confident_view, unconfident_view,
         pb = one_hot(yl[rows], net.num_classes)
 
         if use_unlabeled:
-            take = u_order[np.arange(start, stop) % u_order.size]
-            xt = xu[take]
-            # take repeats with period pool size, so its first d rows are the
-            # batch's distinct rows: guess each once, share it by position
+            # the next min(b, pool) rows of the cyclic order, each once
             d = min(b, u_order.size)
-            qb = guess_labels(net, xt[:d], semi_config.k_aug,
-                              semi_config.temperature, sigma, rng)[np.arange(b) % d]
+            xt = xu[u_order[np.arange(start, start + d) % u_order.size]]
+            qb = guess_labels(net, xt, semi_config.k_aug, semi_config.temperature,
+                              sigma, rng)
             ub = augment(xt, sigma, rng)
             pool_x = np.concatenate([xb, ub])
             pool_p = np.concatenate([pb, qb])

@@ -431,13 +431,15 @@ class TestSemiTrainEpoch:
         assert len(guessed) == len(targets) == len(starts)
         for start, (u, q), p1 in zip(starts, guessed, targets):
             b = min(batch_size, len(xl) - start)
-            take = u_order[np.arange(start, start + b) % n_unlabeled].tolist()
-            assert len(u) == min(b, n_unlabeled)
+            d = min(b, n_unlabeled)
+            take = u_order[np.arange(start, start + d) % n_unlabeled].tolist()
             rows = [int(np.flatnonzero((xu == row).all(axis=1))[0]) for row in u]
-            assert sorted(rows) == sorted(set(take))
-            # every occurrence of a pool row carries that row's one guess
-            for i, row in enumerate(take):
-                assert p1[b + i].tobytes() == q[rows.index(row)].tobytes()
+            # the batch's pool rows, distinct, in the order's cyclic order
+            assert rows == take and len(set(rows)) == d
+            # the mixup pool holds each row once, carrying its own guess
+            assert len(p1) == b + d
+            for i in range(d):
+                assert p1[b + i].tobytes() == q[i].tobytes()
 
 
 def _two_mixup_epoch(net, confident_view, xu, semi, config, epoch):
@@ -461,12 +463,11 @@ def _two_mixup_epoch(net, confident_view, xu, semi, config, epoch):
         xb = augment(xl[idx], sigma, rng)
         pb = one_hot(yl[idx], net.num_classes)
         if use_unlabeled:
-            take = u_order[np.arange(u_offset, u_offset + len(idx)) % u_order.size]
-            u_offset += len(idx)
-            # one guess per distinct pool row, shared by its occurrences
+            # the batch's min(b, pool) distinct pool rows, each guessed once
             d = min(len(idx), u_order.size)
-            guesses = guess_labels(net, xu[take[:d]], semi.k_aug, semi.temperature, sigma, rng)
-            qb = np.stack([guesses[i % d] for i in range(len(idx))])
+            take = u_order[np.arange(u_offset, u_offset + d) % u_order.size]
+            u_offset += len(idx)
+            qb = guess_labels(net, xu[take], semi.k_aug, semi.temperature, sigma, rng)
             ub = augment(xu[take], sigma, rng)
             pool_x = np.concatenate([xb, ub])
             pool_p = np.concatenate([pb, qb])
@@ -481,8 +482,8 @@ def _two_mixup_epoch(net, confident_view, xu, semi, config, epoch):
             unl = pool_order[len(idx):]
             umix_x, umix_p = mixup(ub, qb, pool_x[unl], pool_p[unl], semi.mix_alpha, rng)
             loss_u, ugrads_w, ugrads_b = brier_grads(net, umix_x, umix_p)
-            unlabeled_total += loss_u * len(take)
-            unlabeled_count += len(take)
+            unlabeled_total += loss_u * len(idx)
+            unlabeled_count += len(idx)
             grads_w = [g + lam_u * ug for g, ug in zip(grads_w, ugrads_w)]
             grads_b = [g + lam_u * ug for g, ug in zip(grads_b, ugrads_b)]
         net.sgd_step(grads_w, grads_b, lr, config.weight_decay)
@@ -498,6 +499,7 @@ class TestSemiEpochReplay:
         (5, 26, 10, 1, 2.0),    # every batch has one row
         (4, 24, 0, 8, 1.0),     # empty pool
         (3, 26, 1, 5, 1.0),     # one-row pool
+        (4, 26, 5, 5, 1.0),     # pool as large as a batch
         (16, 40, 7, 16, 1.0),
         (4, 26, 10, 5, 0.0),    # lambda_u = 0
     ])

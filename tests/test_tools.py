@@ -1,6 +1,8 @@
-"""tools/output_digests.py: the byte-identity check between two checkouts."""
+"""tools/output_digests.py, the byte-identity check between two checkouts,
+and tools/sweep.py, the seed sweep."""
 
 import contextlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
+SWEEP = SCRIPT.with_name("sweep.py")
 
 # The report digests of the first input, per OpenBLAS kernel of the numpy
 # wheel (numpy 2.4.6, BLAS scipy-openblas 0.3.31.188.0): the kernels round
@@ -18,15 +21,15 @@ SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
 GOLDEN_REPORTS = {
     "SkylakeX": {
         "p500-s0.no_semi.report": "f488e78141f1ae0040b0e4ca8ad1197c60b0d4790933c93f5b4fe7d211f48655",
-        "p500-s0.full.report": "1967279c51df10283b64540095f8d24b2bf04a68f4866dd212a8556d257a38ba",
+        "p500-s0.full.report": "21cf1e8fa0f027c4f0e541d903adc43145ddd6a12a7425f7dc1701ea39cff3ca",
     },
     "Haswell": {
         "p500-s0.no_semi.report": "fa83b28515108899e86c4d6aa1d4b590413073f2134514c39581d3421cd9a336",
-        "p500-s0.full.report": "efcdcd0aa631a321ee1b7740c35b6dfa92c587630199a36c1a6e333df469ca4e",
+        "p500-s0.full.report": "d9c2224f5a1de0ab20f47d1955fa17576de0201e5443627a75187cb6437e08b6",
     },
     "Sandybridge": {
         "p500-s0.no_semi.report": "bf8d45e8060271b4d68fcaf05c1e15b6bebd093eb4dd2a56f525dcd6cf45b744",
-        "p500-s0.full.report": "ce38d54321afdabc2fd2c0f6002b4ad85bd27427502a03ed61c86b9be87e1b82",
+        "p500-s0.full.report": "6918517493fc1431eeaa9d3b2b94ff4f488c17ba60e3d25de044df3414ea4e0e",
     },
 }
 KERNEL_LINE = "OpenBLAS kernel: "
@@ -85,3 +88,16 @@ def test_refuses_a_directory_with_files(tmp_path):
                          capture_output=True, text=True)
     assert run.returncode == 2
     assert "is not empty" in run.stderr
+
+
+def test_sweep_counts_an_abort_and_goes_on():
+    # under ambiguity noise at n=1,600, full aborts (exit 3) on data seed 5
+    # and finishes on seed 4; no_repar finishes on both
+    run = subprocess.run([sys.executable, str(SWEEP), "--sizes", "1600",
+                          "--noise", "ambiguity", "--seeds", "4,5"],
+                         capture_output=True, text=True, check=True)
+    cells = json.loads(run.stdout.splitlines()[-1])["cells"]
+    assert [(c["variant"], c["runs"], c["exit3"]) for c in cells] == [
+        ("full", 2, 1), ("no_repar", 2, 0)]
+    full = cells[0]
+    assert full["median_final"] == full["mean_final"] >= 0.90

@@ -1,0 +1,138 @@
+"""Sweep the method over dataset size, noise type, variant and data seed.
+
+    python tools/sweep.py [--sizes N ...] [--noise TYPE ...] [--seeds LIST]
+
+For every size n (training rows), noise type and data seed, this makes
+the dataset ``gen-data --per-class 5n/16 --rate 0.3 --seed SEED --noise
+TYPE --heldout-out ...`` writes (4 classes, a clean 20% held out, so n
+training rows), and trains variants ``full`` and ``no_repar`` on it with
+``configs/benchmark.cfg`` and ``seed`` set to the data seed, in this
+process, with BLAS pinned to one thread.
+
+Defaults: sizes 1600 (seeds 0-99) and 10000 (seeds 1-8), both noise
+types.  ``--seeds`` (e.g. ``0-99`` or ``4,5``) replaces the seeds of
+every size.
+
+It prints one row per (size, noise, variant) cell: the runs, the runs
+that abort (exit code 3 from ``protosemi train``), the runs that finish
+below 0.90 held-out accuracy, and the median and mean final accuracy of
+the runs that finish.  An abort is counted; it does not stop the sweep.
+The last line is the same table as JSON.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+import os
+import statistics
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG = ROOT / "configs" / "benchmark.cfg"
+DEFAULT_SEEDS = {1600: range(0, 100), 10000: range(1, 9)}
+VARIANTS = ("full", "no_repar")
+LOW = 0.90
+
+
+def parse_seeds(text: str) -> list:
+    """``0-99`` or ``4,5`` or ``1-8,12``: the listed seeds, in order."""
+    seeds = []
+    for part in text.split(","):
+        lo, dash, hi = part.partition("-")
+        try:
+            seeds.extend(range(int(lo), int(hi) + 1) if dash else [int(lo)])
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad seed list {text!r}") from None
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"seed list {text!r} is empty")
+    return seeds
+
+
+def training_rows(text: str) -> int:
+    n = int(text)
+    if n <= 0 or n % 16:
+        raise argparse.ArgumentTypeError(
+            f"size must be a positive multiple of 16 (4 classes, 20% held out), got {n}")
+    return n
+
+
+def summarize(n: int, noise: str, variant: str, finals: list) -> dict:
+    """One cell of the table; ``finals`` holds None for each aborted run."""
+    done = [f for f in finals if f is not None]
+    return {"n": n, "noise": noise, "variant": variant, "runs": len(finals),
+            "exit3": len(finals) - len(done), "below_0.90": sum(f < LOW for f in done),
+            "median_final": statistics.median(done) if done else None,
+            "mean_final": statistics.fmean(done) if done else None}
+
+
+def row(cell: dict) -> str:
+    def acc(x):
+        return "-" if x is None else f"{x:.4f}"
+    return (f"{cell['n']:<7d}{cell['noise']:<11}{cell['variant']:<10}{cell['runs']:>5d}"
+            f"{cell['exit3']:>7d}{cell['below_0.90']:>12d}"
+            f"{acc(cell['median_final']):>14}{acc(cell['mean_final']):>12}")
+
+
+def sweep(sizes, noises, seeds) -> list:
+    from protosemi.cli import parse_config_file
+    from protosemi.data import (
+        generate_blobs,
+        inject_ambiguity_noise,
+        inject_factual_noise,
+        split_heldout,
+    )
+    from protosemi.errors import DegenerateClassError, DegenerateGeometryError
+    from protosemi.pipeline import run_with_artifacts
+
+    inject = {"factual": inject_factual_noise, "ambiguity": inject_ambiguity_noise}
+    config = parse_config_file(CONFIG)
+    print(f"{'n':<7}{'noise':<11}{'variant':<10}{'runs':>5}{'exit3':>7}"
+          f"{'below_0.90':>12}{'median_final':>14}{'mean_final':>12}", flush=True)
+    cells = []
+    for n in sizes:
+        for noise in noises:
+            finals = {v: [] for v in VARIANTS}
+            for seed in DEFAULT_SEEDS[n] if seeds is None else seeds:
+                clean = generate_blobs(4, 5 * n // 16, 16, 6.0, 1.0, seed)
+                train, heldout = split_heldout(clean, 0.2, seed)
+                train = inject[noise](train, 0.3, seed)
+                seeded = dataclasses.replace(config, seed=seed)
+                for variant in VARIANTS:
+                    try:
+                        report = run_with_artifacts(train, heldout, seeded, variant).report
+                    except (DegenerateClassError, DegenerateGeometryError):
+                        finals[variant].append(None)  # the CLI's exit code 3
+                    else:
+                        finals[variant].append(report.final_accuracy)
+            for variant in VARIANTS:
+                cells.append(summarize(n, noise, variant, finals[variant]))
+                print(row(cells[-1]), flush=True)
+    return cells
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--sizes", type=training_rows, nargs="+", default=list(DEFAULT_SEEDS),
+                        metavar="N", help="training rows per dataset")
+    parser.add_argument("--noise", nargs="+", choices=("factual", "ambiguity"),
+                        default=["factual", "ambiguity"])
+    parser.add_argument("--seeds", type=parse_seeds, default=None, metavar="LIST",
+                        help="data seeds for every size, e.g. 0-99 or 4,5")
+    args = parser.parse_args(argv)
+    missing = [n for n in args.sizes if n not in DEFAULT_SEEDS]
+    if missing and args.seeds is None:
+        parser.error(f"size {missing[0]} has no default seeds; give --seeds")
+    # before numpy loads: a multi-threaded BLAS may sum in another order
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.path.insert(0, str(ROOT / "src"))
+    cells = sweep(args.sizes, args.noise, args.seeds)
+    print(json.dumps({"cells": cells}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
