@@ -92,8 +92,8 @@ def generate_blobs(num_classes: int, per_class: int, dim: int,
                              ("dim", dim, 2)):
         require_int(name, value, low)
     for name, value in (("separation", separation), ("spread", spread)):
-        if not is_real(value) or not value > 0:
-            raise ParameterError(f"{name} must be positive, got {value!r}")
+        if not is_real(value) or not 0 < value < math.inf:
+            raise ParameterError(f"{name} must be finite and positive, got {value!r}")
 
     rng = seeded_rng(seed)
     directions: list[np.ndarray] = []

@@ -109,21 +109,22 @@ class Network:
     def _in_blocks(self, x: np.ndarray, logits: bool) -> np.ndarray:
         """Logits or last hidden layer of a (B, D) batch, one row block at a time.
 
-        The batch is cut into ceil(B / FORWARD_BLOCK_ROWS) near-equal
-        blocks (one block for B <= FORWARD_BLOCK_ROWS), each passed on its
-        own and copied into one preallocated output.  A matrix product
-        gives a row the same bits in any block of 2 or more rows, and a
-        batch of more rows than FORWARD_BLOCK_ROWS leaves every block at
-        least half that many, so the blocks have the bits of one pass.
+        The batch is cut into ceil(B / FORWARD_BLOCK_ROWS) blocks at the
+        even offsets 2 * ceil(B * i / (2 * blocks)), each passed on its own
+        into one preallocated output.  Every block but the last is even and,
+        for B >= 2, holds 2 to FORWARD_BLOCK_ROWS rows, so at one BLAS
+        thread the blocks have the bits of one pass under every kernel.
         """
         x = np.atleast_2d(x)
         if x.ndim != 2:
             raise ParameterError(f"expected a (B, D) batch, got shape {x.shape}")
-        blocks = max(1, math.ceil(len(x) / FORWARD_BLOCK_ROWS))
-        out = np.empty((len(x), self.num_classes if logits else self.embed_dim))
-        for rows, block in zip(np.array_split(out, blocks), np.array_split(x, blocks)):
-            acts, block_logits = self.activations(block)
-            rows[...] = block_logits if logits else acts[-1]
+        n = len(x)
+        blocks = max(1, math.ceil(n / FORWARD_BLOCK_ROWS))
+        cuts = [min(n, 2 * -(-n * i // (2 * blocks))) for i in range(blocks + 1)]
+        out = np.empty((n, self.num_classes if logits else self.embed_dim))
+        for start, stop in zip(cuts, cuts[1:]):
+            acts, block_logits = self.activations(x[start:stop])
+            out[start:stop] = block_logits if logits else acts[-1]
             del acts, block_logits  # free this block's layers before the next is passed
         return out
 

@@ -281,15 +281,13 @@ def run_with_artifacts(dataset: NoisyDataset, heldout: NoisyDataset,
                     raise DegenerateClassError(f"epoch {epoch}: {err}") from err
                 corrections.append(CorrectionEpoch(epoch, correction_stats(log, ds)))
                 logs.append((epoch, log))
-            if part.confident_idx.size == 0:
+            confident = part.confident
+            sizes = int(np.count_nonzero(confident)), int(np.count_nonzero(~confident))
+            if sizes[0] == 0:
                 raise DegenerateClassError(f"epoch {epoch}: no confident samples to train on")
             losses = semi_train_epoch(
-                net,
-                (ds.features[part.confident_idx], part.confident_labels),
-                ds.features[part.unconfident_idx],
-                config.semi, config.train, epoch,
-            )
-            sizes = int(part.confident_idx.size), int(part.unconfident_idx.size)
+                net, (ds.features[confident], ds.working_labels[confident]),
+                ds.features[~confident], config.semi, config.train, epoch)
         epochs.append(EpochRecord(epoch, phase, *losses, *sizes, evaluate(net, heldout)))
 
     report = RunReport(variant=variant, config=config,

@@ -57,20 +57,27 @@ class Thresholds:
             )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Index split of a dataset; confident samples carry an assigned label."""
+    """Boolean split of a dataset; a confident sample's label is its working label."""
 
-    confident_idx: np.ndarray     # (m,) int64, strictly increasing
-    confident_labels: np.ndarray  # (m,) int64
-    unconfident_idx: np.ndarray   # (u,) int64, strictly increasing
+    confident: np.ndarray  # (n,) bool, read-only
 
     def __post_init__(self):
-        self.confident_idx = np.asarray(self.confident_idx, dtype=np.int64)
-        self.confident_labels = np.asarray(self.confident_labels, dtype=np.int64)
-        self.unconfident_idx = np.asarray(self.unconfident_idx, dtype=np.int64)
-        if self.confident_idx.shape != self.confident_labels.shape:
-            raise ParameterError("confident indices and labels must align")
+        mask = np.array(self.confident)  # a copy, so the caller's array stays writable
+        if mask.ndim != 1 or mask.dtype != np.bool_:
+            raise ParameterError(
+                f"a partition is a 1-D bool mask, got {mask.dtype} of shape {mask.shape}")
+        mask.flags.writeable = False
+        object.__setattr__(self, "confident", mask)
+
+    @property
+    def confident_idx(self) -> np.ndarray:
+        return np.flatnonzero(self.confident)
+
+    @property
+    def unconfident_idx(self) -> np.ndarray:
+        return np.flatnonzero(~self.confident)
 
 
 @dataclass(frozen=True)
@@ -114,14 +121,7 @@ class StatsRow:
 
 def split_by_agreement(net: Network, ds: NoisyDataset) -> Partition:
     """Confident = samples whose predicted class matches the working label."""
-    preds = np.argmax(net.forward(ds.features), axis=1)
-    agree = preds == ds.working_labels
-    confident = np.flatnonzero(agree)
-    return Partition(
-        confident_idx=confident,
-        confident_labels=ds.working_labels[confident].copy(),
-        unconfident_idx=np.flatnonzero(~agree),
-    )
+    return Partition(np.argmax(net.forward(ds.features), axis=1) == ds.working_labels)
 
 
 def build_prototypes(net: Network, ds: NoisyDataset, partition: Partition) -> PrototypeMatrix:
@@ -130,15 +130,18 @@ def build_prototypes(net: Network, ds: NoisyDataset, partition: Partition) -> Pr
     Raises :class:`DegenerateClassError` if any class has no confident
     samples, since its prototype would be undefined.
     """
+    if partition.confident.shape != (ds.n,):
+        raise ParameterError(f"partition of {partition.confident.size} for {ds.n} samples")
     k = ds.num_classes
-    counts = np.bincount(partition.confident_labels, minlength=k)
+    labels = ds.working_labels[partition.confident]
+    counts = np.bincount(labels, minlength=k)
     if np.any(counts == 0):
         raise DegenerateClassError(
             f"class {int(np.argmin(counts))} has no confident samples; prototype undefined")
-    embeddings = net.embed(ds.features[partition.confident_idx])
+    embeddings = net.embed(ds.features[partition.confident])
     rows = np.empty((k, net.embed_dim))
     for c in range(k):
-        members = embeddings[partition.confident_labels == c]
+        members = embeddings[labels == c]
         # anchor-plus-mean-deviation keeps the all-identical case an
         # exact fixed point of the mean
         anchor = members[0]
@@ -212,11 +215,9 @@ def repartition(net: Network, ds: NoisyDataset, partition: Partition,
         unconf.tolist(), d_max.tolist(), proto.tolist(), prior.tolist(),
         zone.tolist(), action.tolist(), p.tolist())]
 
-    new_idx = np.concatenate([partition.confident_idx, unconf[moved]])
-    new_labels = np.concatenate([partition.confident_labels,
-                                 ds.working_labels[unconf[moved]]])
-    order = np.argsort(new_idx)
-    return Partition(new_idx[order], new_labels[order], unconf[~moved]), log
+    confident = partition.confident.copy()
+    confident[unconf[moved]] = True
+    return Partition(confident), log
 
 
 def correction_stats(log: list[CorrectionRecord], ds: NoisyDataset) -> StatsRow:

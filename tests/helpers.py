@@ -1,12 +1,18 @@
-"""Shared test helpers: value equality of the array-holding types, and a partition check.
+"""Shared test helpers: value equality of the array-holding types, a partition
+check, the scripts of ``tools/`` as modules, and a one-thread BLAS block.
 
 ``NoisyDataset``, ``Partition`` and ``Network`` compare by identity, so
 tests that need value equality compare their arrays here.
 """
 
+import contextlib
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
 def same_arrays(a, b) -> bool:
@@ -27,3 +33,31 @@ def covers_exactly(part, n: int) -> bool:
     """True iff the partition's confident and unconfident indices together tile {0..n-1}."""
     merged = np.concatenate([part.confident_idx, part.unconfident_idx])
     return merged.size == n and np.array_equal(np.sort(merged), np.arange(n))
+
+
+def load_tool(name: str):
+    """The script ``tools/<name>.py`` as a module."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """numpy's bundled OpenBLAS at one thread inside the block; its count is restored after.
+
+    At two or more threads OpenBLAS may split one product across them,
+    which rounds some rows apart from a one-thread pass.  Under another
+    BLAS the block runs as it is.
+    """
+    lib = load_tool("output_digests").openblas()
+    if lib is None:
+        yield
+        return
+    threads = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(threads)

@@ -185,7 +185,7 @@ def test_criterion_2_oracle_equivalence():
         part = split_by_agreement(net, ds)
         confident, labels, unconfident = oracle_split(net, ds)
         assert part.confident_idx.tolist() == confident
-        assert part.confident_labels.tolist() == labels
+        assert ds.working_labels[part.confident].tolist() == labels
         assert part.unconfident_idx.tolist() == unconfident
 
         protos = build_prototypes(net, ds, part)

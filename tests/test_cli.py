@@ -108,6 +108,15 @@ class TestGenData:
             main(["gen-data", "--classes", "3"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("flag, name", [("--sep", "separation"), ("--spread", "spread")])
+    def test_an_infinite_scale_names_its_parameter(self, tmp_path, capsys, flag, name):
+        out = tmp_path / "out.ds"
+        code = main(["gen-data", "--classes", "3", "--per-class", "10", flag, "inf",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {name} must be finite and positive, got inf\n"
+        assert not out.exists()
+
     def test_bad_generation_parameters(self, tmp_path, capsys):
         code = main(["gen-data", "--classes", "1", "--out", str(tmp_path / "x.ds")])
         assert code == 2

@@ -79,6 +79,7 @@ class TestGenerateBlobs:
     @pytest.mark.parametrize("bad", [
         dict(num_classes=1), dict(per_class=0), dict(dim=1),
         dict(separation=0.0), dict(spread=0.0), dict(separation=-1.0),
+        dict(separation=float("inf")), dict(spread=float("inf")), dict(spread=float("nan")),
         # sizes are integers and scales reals; a bool is neither
         dict(per_class=2.5), dict(num_classes=3.0), dict(dim=True),
         dict(separation="4.0"), dict(spread=True),

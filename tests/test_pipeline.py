@@ -452,7 +452,8 @@ class TestExportEmbeddings:
     def test_class_without_confident_sample_writes_no_file(self, tmp_path):
         clean = generate_blobs(3, 10, 4, 8.0, 0.5, seed=0)
         net = init_network([4, 5, 4, 3], 0)
-        assert np.unique(split_by_agreement(net, clean).confident_labels).size < 3
+        confident = split_by_agreement(net, clean).confident
+        assert np.unique(clean.working_labels[confident]).size < 3
         path = tmp_path / "emb.csv"
         with pytest.raises(DegenerateClassError):
             export_embeddings(net, clean, path)

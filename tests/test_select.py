@@ -44,6 +44,14 @@ from protosemi.select import (
 INV_SQRT2 = 0.7071067811865475  # frozen: 1/sqrt(2)
 
 
+def confident_at(ds, idx, labels):
+    """The partition confident exactly at ``idx``, whose working labels become ``labels``."""
+    ds.working_labels[idx] = labels
+    mask = np.zeros(ds.n, dtype=bool)
+    mask[idx] = True
+    return Partition(mask)
+
+
 def small_noisy_setup(seed, n_per_class=10, warm_epochs=15):
     """A warmed-up net plus a noisy dataset, for realistic splits.
 
@@ -98,7 +106,7 @@ class TestSplitByAgreement:
         part = split_by_agreement(net, ds)
         assert part.unconfident_idx.size == 0
         assert np.array_equal(part.confident_idx, np.arange(4))
-        assert np.array_equal(part.confident_labels, labels)
+        assert np.array_equal(ds.working_labels[part.confident], labels)
 
     def test_constant_net_collects_one_class(self):
         net, ds = constant_net(4, 3, winner=2), None
@@ -108,7 +116,7 @@ class TestSplitByAgreement:
         ds = NoisyDataset(rng.standard_normal((8, 4)), working, true, num_classes=3)
         part = split_by_agreement(net, ds)
         assert np.array_equal(part.confident_idx, np.flatnonzero(working == 2))
-        assert np.all(part.confident_labels == 2)
+        assert np.all(ds.working_labels[part.confident] == 2)
 
     def test_matches_per_sample_oracle(self):
         net, ds = small_noisy_setup(seed=21, n_per_class=7)
@@ -124,7 +132,7 @@ class TestSplitByAgreement:
                 unconfident.append(i)
         assert part.confident_idx.tolist() == confident
         assert part.unconfident_idx.tolist() == unconfident
-        assert part.confident_labels.tolist() == ds.working_labels[confident].tolist()
+        assert part.confident.tolist() == [i in confident for i in range(ds.n)]
 
     def test_partition_exactness(self):
         net, ds = small_noisy_setup(seed=5)
@@ -134,11 +142,34 @@ class TestSplitByAgreement:
         assert not both
 
 
+class TestPartition:
+    @pytest.mark.parametrize("mask", [np.array([1, 0, 1]), np.array([[True, False]]),
+                                      np.array(True), [0.0, 1.0]],
+                             ids=["int", "2-D", "0-D", "float"])
+    def test_a_mask_that_is_not_1d_bool_is_a_parameter_error(self, mask):
+        with pytest.raises(ParameterError, match="1-D bool mask"):
+            Partition(mask)
+
+    def test_mask_is_a_read_only_copy(self):
+        mask = np.array([True, False, True])
+        part = Partition(mask)
+        mask[1] = True  # the caller's array stays its own, and writable
+        assert part.confident.tolist() == [True, False, True]
+        assert part.confident_idx.tolist() == [0, 2] and part.unconfident_idx.tolist() == [1]
+        with pytest.raises(ValueError):
+            part.confident[1] = True
+
+    def test_mask_of_another_length_is_a_parameter_error(self):
+        net, ds = small_noisy_setup(seed=31)
+        with pytest.raises(ParameterError, match=f"partition of {ds.n - 1} for {ds.n} samples"):
+            build_prototypes(net, ds, Partition(np.ones(ds.n - 1, dtype=bool)))
+
+
 class TestBuildPrototypes:
     def test_singleton_class_row_equals_its_embedding(self):
         net, ds = small_noisy_setup(seed=31)
         idx = np.array([0, 10, 20])  # one sample per class, order of classes below
-        part = Partition(idx, np.array([0, 1, 2]), np.setdiff1d(np.arange(ds.n), idx))
+        part = confident_at(ds, idx, [0, 1, 2])
         protos = build_prototypes(net, ds, part)
         embeddings = net.embed(ds.features[idx])
         assert np.array_equal(protos.rows, embeddings)
@@ -147,7 +178,7 @@ class TestBuildPrototypes:
     def test_two_member_mean(self):
         net, ds = small_noisy_setup(seed=32)
         idx = np.array([0, 1, 10, 20])
-        part = Partition(idx, np.array([0, 0, 1, 2]), np.setdiff1d(np.arange(ds.n), idx))
+        part = confident_at(ds, idx, [0, 0, 1, 2])
         protos = build_prototypes(net, ds, part)
         e = net.embed(ds.features[np.array([0, 1])])
         assert protos.rows[0] == pytest.approx((e[0] + e[1]) / 2.0, abs=1e-15)
@@ -160,7 +191,7 @@ class TestBuildPrototypes:
         for c in range(ds.num_classes):
             acc = np.zeros(net.embed_dim)
             count = 0
-            for row, label in zip(embeddings, part.confident_labels):
+            for row, label in zip(embeddings, ds.working_labels[part.confident_idx]):
                 if label == c:
                     acc += row
                     count += 1
@@ -170,7 +201,7 @@ class TestBuildPrototypes:
     def test_empty_class_raises_naming_it(self):
         net, ds = small_noisy_setup(seed=34)
         keep = np.flatnonzero(ds.working_labels != 1)[:6]
-        part = Partition(keep, ds.working_labels[keep], np.setdiff1d(np.arange(ds.n), keep))
+        part = confident_at(ds, keep, ds.working_labels[keep])
         with pytest.raises(DegenerateClassError) as err:
             build_prototypes(net, ds, part)
         assert str(err.value) == "class 1 has no confident samples; prototype undefined"
@@ -181,7 +212,7 @@ class TestBuildPrototypes:
         features = np.vstack([row, row, row, -row, 2 * row])
         labels = np.array([0, 0, 0, 1, 2])
         ds = NoisyDataset(features, labels.copy(), labels.copy(), num_classes=3)
-        part = Partition(np.arange(5), labels, np.array([], dtype=np.int64))
+        part = Partition(np.ones(5, dtype=bool))
         protos = build_prototypes(net, ds, part)
         v = net.embed(features[:3])
         assert np.array_equal(v[0], v[1]) and np.array_equal(v[0], v[2])
@@ -202,8 +233,7 @@ class TestSimilarity:
 
     def test_prototype_match_scores_one(self):
         net, ds = small_noisy_setup(seed=36)
-        idx = np.array([0, 10, 20])
-        part = Partition(idx, np.array([0, 1, 2]), np.setdiff1d(np.arange(ds.n), idx))
+        part = confident_at(ds, np.array([0, 10, 20]), [0, 1, 2])
         protos = build_prototypes(net, ds, part)
         sims = cosine_to_rows(net.embed(ds.features[0]), protos.rows)
         assert sims.shape == (3,)
@@ -291,7 +321,7 @@ def oracle_repartition(net, ds_before, partition, thresholds, rng_seed_list):
     rows = []
     counts = {}
     embeddings = net.embed(ds_before.features[partition.confident_idx])
-    for e, label in zip(embeddings, partition.confident_labels):
+    for e, label in zip(embeddings, ds_before.working_labels[partition.confident_idx]):
         counts.setdefault(int(label), []).append(e)
     protos = {}
     for c, members in counts.items():
@@ -393,11 +423,6 @@ class TestRepartition:
         stayed = {r.index for r in log if r.action == "unmoved"}
         assert moved == set(new_part.confident_idx) - set(part.confident_idx)
         assert stayed == set(new_part.unconfident_idx)
-        # moved-in labels equal the dataset's current working labels
-        lookup = dict(zip(new_part.confident_idx.tolist(),
-                          new_part.confident_labels.tolist()))
-        for i in moved:
-            assert lookup[i] == ds.working_labels[i]
 
     def test_zero_embedding_aborts_before_any_write_back(self):
         # the zero feature row embeds to zero (biases start at zero), so its

@@ -3,6 +3,7 @@ and tools/sweep.py, the seed sweep."""
 
 import contextlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -33,12 +34,21 @@ GOLDEN_REPORTS = {
     },
 }
 KERNEL_LINE = "OpenBLAS kernel: "
+# the /proc/cpuinfo flag each kernel needs
+KERNEL_FLAGS = {"SkylakeX": "avx512f", "Haswell": "avx2", "Sandybridge": "avx"}
 
 
-def digests(outdir) -> tuple:
-    """The OpenBLAS kernel the script ran under, and its stdout lines."""
+def digests(outdir, kernel=None) -> tuple:
+    """The OpenBLAS kernel the script ran under, and its stdout lines.
+
+    ``kernel`` names an OpenBLAS kernel for the script to run, through
+    OPENBLAS_CORETYPE; by default OpenBLAS picks one for this CPU.
+    """
+    env = dict(os.environ)
+    if kernel is not None:
+        env["OPENBLAS_CORETYPE"] = kernel
     run = subprocess.run([sys.executable, str(SCRIPT), str(outdir), "--inputs", "1"],
-                         capture_output=True, text=True, check=True)
+                         capture_output=True, text=True, check=True, env=env)
     kernel = next(line.removeprefix(KERNEL_LINE) for line in run.stderr.splitlines()
                   if line.startswith(KERNEL_LINE))
     return kernel, run.stdout.splitlines()
@@ -70,16 +80,41 @@ def test_same_seed_gives_the_same_digests(first, tmp_path):
     assert len(names) == len(set(names))
 
 
-def test_report_bytes_match_the_golden_digests(first):
-    kernel, lines = first
-    assert kernel in GOLDEN_REPORTS, (
-        f"no golden digests recorded for OpenBLAS kernel {kernel!r} under {numerics()}")
+def cpu_flags() -> set:
+    """The flags /proc/cpuinfo lists for the first CPU; none where it is missing."""
+    with contextlib.suppress(OSError):
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("flags"):
+                return set(line.partition(":")[2].split())
+    return set()
+
+
+def assert_golden(kernel, lines):
+    """Fail unless the digest ``lines`` hold ``kernel``'s golden report digests."""
     got = {name: digest for digest, name in (line.split("  ", 1) for line in lines)}
     for name, want in GOLDEN_REPORTS[kernel].items():
         assert got[name] == want, (
             f"{name} digests to {got[name]}, not {want}, under {numerics()} and the "
             f"{kernel} kernel; the digests were recorded under numpy 2.4.6, BLAS "
             "scipy-openblas 0.3.31.188.0")
+
+
+def test_report_bytes_match_the_golden_digests(first):
+    kernel, lines = first
+    assert kernel in GOLDEN_REPORTS, (
+        f"no golden digests recorded for OpenBLAS kernel {kernel!r} under {numerics()}")
+    assert_golden(kernel, lines)
+
+
+@pytest.mark.parametrize("kernel", GOLDEN_REPORTS)
+def test_every_kernel_this_cpu_runs_matches_its_golden_digests(kernel, tmp_path):
+    # a change that moves one kernel's bytes alone shows here, on any host
+    # whose CPU runs that kernel
+    if KERNEL_FLAGS[kernel] not in cpu_flags():
+        pytest.skip(f"this CPU cannot run the {kernel} kernel: no {KERNEL_FLAGS[kernel]} flag")
+    ran, lines = digests(tmp_path, kernel)
+    assert ran == kernel
+    assert_golden(kernel, lines)
 
 
 def test_refuses_a_directory_with_files(tmp_path):
@@ -96,7 +131,14 @@ def test_sweep_counts_an_abort_and_goes_on():
     run = subprocess.run([sys.executable, str(SWEEP), "--sizes", "1600",
                           "--noise", "ambiguity", "--seeds", "4,5"],
                          capture_output=True, text=True, check=True)
-    cells = json.loads(run.stdout.splitlines()[-1])["cells"]
+    out = run.stdout.splitlines()
+    closing = json.loads(out[-1])
+    env = closing["env"]
+    assert set(env) == {"numpy", "openblas_kernel", "nproc"}
+    assert env["numpy"] == np.__version__ and env["nproc"] >= 1
+    assert out[0] == f"env numpy={env['numpy']} openblas_kernel={env['openblas_kernel']} " \
+                     f"nproc={env['nproc']}"
+    cells = closing["cells"]
     assert [(c["variant"], c["runs"], c["exit3"]) for c in cells] == [
         ("full", 2, 1), ("no_repar", 2, 0)]
     full = cells[0]

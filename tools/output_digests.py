@@ -86,16 +86,23 @@ def digest_outputs(inputs: int) -> list:
     return [f"{sha256(p.read_bytes())}  {p.name}" for p in files] + lines
 
 
-def blas_kernel() -> str:
-    """The kernel name numpy's bundled OpenBLAS reports, or ``unknown``."""
+def openblas():
+    """numpy's bundled OpenBLAS library, or None under another BLAS."""
     import numpy as np
 
     # the library numpy has loaded; opening it again returns the same handle
     for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        with contextlib.suppress(OSError, AttributeError):
-            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
-            corename.argtypes, corename.restype = [], ctypes.c_char_p
-            return corename().decode()
+        with contextlib.suppress(OSError):
+            return ctypes.CDLL(str(lib))
+    return None
+
+
+def blas_kernel() -> str:
+    """The kernel name numpy's bundled OpenBLAS reports, or ``unknown``."""
+    with contextlib.suppress(AttributeError):  # None, or a library without the call
+        corename = openblas().scipy_openblas_get_corename64_
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
     return "unknown"
 
 

@@ -17,7 +17,10 @@ It prints one row per (size, noise, variant) cell: the runs, the runs
 that abort (exit code 3 from ``protosemi train``), the runs that finish
 below 0.90 held-out accuracy, and the median and mean final accuracy of
 the runs that finish.  An abort is counted; it does not stop the sweep.
-The last line is the same table as JSON.
+The first line, ``env numpy=... openblas_kernel=... nproc=...``, names
+the numpy version, the OpenBLAS kernel and the CPUs the process may use;
+the last line is the same table as JSON, with that environment under
+``env``.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ import os
 import statistics
 import sys
 from pathlib import Path
+
+from output_digests import blas_kernel
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG = ROOT / "configs" / "benchmark.cfg"
@@ -74,6 +79,14 @@ def row(cell: dict) -> str:
     return (f"{cell['n']:<7d}{cell['noise']:<11}{cell['variant']:<10}{cell['runs']:>5d}"
             f"{cell['exit3']:>7d}{cell['below_0.90']:>12d}"
             f"{acc(cell['median_final']):>14}{acc(cell['mean_final']):>12}")
+
+
+def environment() -> dict:
+    """The numpy version, OpenBLAS kernel and usable CPU count the sweep runs under."""
+    import numpy as np
+
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count())
+    return {"numpy": np.__version__, "openblas_kernel": blas_kernel(), "nproc": len(cpus)}
 
 
 def sweep(sizes, noises, seeds) -> list:
@@ -129,8 +142,10 @@ def main(argv=None) -> int:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path.insert(0, str(ROOT / "src"))
+    env = environment()
+    print("env " + " ".join(f"{key}={value}" for key, value in env.items()), flush=True)
     cells = sweep(args.sizes, args.noise, args.seeds)
-    print(json.dumps({"cells": cells}))
+    print(json.dumps({"env": env, "cells": cells}))
     return 0
 
 
