@@ -8,6 +8,7 @@ its confident samples, or geometry degenerated).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .data import (
@@ -73,7 +74,18 @@ def parse_config_file(path) -> PipelineConfig:
         return PipelineConfig.from_fields(values)
 
 
+def _require_distinct(args, inputs: tuple, outputs: tuple) -> None:
+    """Raise ParameterError if an output flag names the file of an input or another output."""
+    flags: dict[str, str] = {}  # real path -> the first flag that names it
+    for dest in (d for d in inputs + outputs if getattr(args, d) is not None):
+        path, flag = getattr(args, dest), "--" + dest.replace("_", "-")
+        first = flags.setdefault(os.path.realpath(path), flag)
+        if first != flag and dest in outputs:
+            raise ParameterError(f"{first} and {flag} name the same file: {path}")
+
+
 def _cmd_gen_data(args) -> int:
+    _require_distinct(args, (), ("out", "heldout_out"))
     ds = generate_blobs(args.classes, args.per_class, args.dim,
                         args.sep, args.spread, args.seed)
     if args.heldout_out:
@@ -102,6 +114,7 @@ def _print_stats_block(corrections) -> None:
 
 
 def _cmd_train(args) -> int:
+    _require_distinct(args, ("config", "data", "heldout"), ("report", "export_embeddings"))
     config = parse_config_file(args.config)
     dataset = load_dataset(args.data)
     heldout = load_dataset(args.heldout)

@@ -4,10 +4,11 @@ A run is: supervised warm-up on all working labels, then a main loop
 that re-splits the data by prediction agreement each epoch, applies
 prototype-based label correction for the first few epochs, and trains
 semi-supervised on the resulting labeled/unlabeled views.  The held-out
-set is scored after every epoch.  Everything is deterministic in the
-run seed; the caller's dataset is never mutated (label corrections act
-on the run's own copy of the labels, and the features are shared
-read-only).
+set is scored after every epoch and the corrections after the last, so
+nothing the epoch loop runs reads a true label.  Everything is
+deterministic in the run seed; the caller's dataset is never mutated
+(label corrections act on the run's own copy of the labels, and the
+features are shared read-only).
 """
 
 from __future__ import annotations
@@ -45,12 +46,6 @@ from .select import (
 )
 
 VARIANTS = ("full", "no_repar", "no_semi")
-
-# report CSV columns and cell parsers; the schedule and counts give epoch, phase, accuracy_pct
-_EPOCH_COLUMNS = {"epoch": str, "phase": str, "loss_labeled": float, "loss_unlabeled": float,
-                  "confident": int, "unconfident": int, "heldout_accuracy": float}
-_CORRECTION_COLUMNS = {"epoch": str, "unconfident_size": int, "small_circle": int,
-                       "corrected": int, "right": int, "accuracy_pct": str}
 
 
 def _parse_dims(text: str) -> tuple:
@@ -179,7 +174,7 @@ class PipelineConfig:
 
 # the run-config schema, PipelineConfig's init fields in report-header order:
 # it drives config-file parsing, the config echo, and the report header
-_PARSERS = {"tuple": _parse_dims, "int": int, "float": float}
+_PARSERS = {"tuple": _parse_dims, "int": int, "float": float, "str": str}
 CONFIG_FIELDS = tuple(ConfigField(f.name, _PARSERS[f.type])
                       for f in dataclasses.fields(PipelineConfig) if f.init)
 
@@ -203,6 +198,13 @@ class CorrectionEpoch:
 
     epoch: int
     stats: StatsRow
+
+
+# report CSV columns and cell parsers, from the records the blocks hold: a correction
+# row is its epoch, its StatsRow, then accuracy_pct; the schedule gives epoch and phase
+_EPOCH_COLUMNS = {f.name: _PARSERS[f.type] for f in dataclasses.fields(EpochRecord)}
+_CORRECTION_COLUMNS = {name: _PARSERS[type_] for name, type_ in (("epoch", "int"), *(
+    (f.name, f.type) for f in dataclasses.fields(StatsRow)), ("accuracy_pct", "str"))}
 
 
 @dataclass
@@ -264,7 +266,6 @@ def run_with_artifacts(dataset: NoisyDataset, heldout: NoisyDataset,
     net = init_network([ds.dim, *config.hidden_dims, ds.num_classes], config.seed)
 
     epochs: list[EpochRecord] = []
-    corrections: list[CorrectionEpoch] = []
     logs: list[tuple[int, list[CorrectionRecord]]] = []
 
     for epoch, phase, repartitions in schedule:
@@ -279,7 +280,6 @@ def run_with_artifacts(dataset: NoisyDataset, heldout: NoisyDataset,
                                             repartition_rng(config.seed, epoch))
                 except DegenerateClassError as err:
                     raise DegenerateClassError(f"epoch {epoch}: {err}") from err
-                corrections.append(CorrectionEpoch(epoch, correction_stats(log, ds)))
                 logs.append((epoch, log))
             confident = part.confident
             sizes = int(np.count_nonzero(confident)), int(np.count_nonzero(~confident))
@@ -290,6 +290,7 @@ def run_with_artifacts(dataset: NoisyDataset, heldout: NoisyDataset,
                 ds.features[~confident], config.semi, config.train, epoch)
         epochs.append(EpochRecord(epoch, phase, *losses, *sizes, evaluate(net, heldout)))
 
+    corrections = [CorrectionEpoch(e, correction_stats(log, ds)) for e, log in logs]
     report = RunReport(variant=variant, config=config,
                        epochs=epochs, corrections=corrections)
     return RunResult(report=report, net=net, dataset=ds, correction_logs=logs)
@@ -325,10 +326,8 @@ def _stats_lines(corrections: list) -> list:
     """Column names, then one correction-summary row per repartition epoch."""
     lines = [csv_line(_CORRECTION_COLUMNS)]
     for entry in corrections:
-        s = entry.stats
-        acc = "n/a" if s.accuracy_pct is None else s.accuracy_pct
-        lines.append(csv_line([entry.epoch, s.unconfident_size, s.small_circle,
-                               s.corrected, s.right, acc]))
+        acc = "n/a" if entry.stats.accuracy_pct is None else entry.stats.accuracy_pct
+        lines.append(csv_line([entry.epoch, *dataclasses.astuple(entry.stats), acc]))
     return lines
 
 
@@ -390,7 +389,7 @@ def parse_report(path) -> RunReport:
     report = RunReport(
         values["variant"], config,
         [EpochRecord(e, p, *cells[2:]) for (e, p, _), cells in zip(schedule, epochs)],
-        [CorrectionEpoch(e, StatsRow(*cells[1:5])) for e, cells in zip(fixed, corrections)])
+        [CorrectionEpoch(e, StatsRow(*cells[1:-1])) for e, cells in zip(fixed, corrections)])
     written = _report_lines(report) + [""]
     # a scheduled row the file lacks differs from whatever stands in its place
     written[ends[1]:ends[1]] = [f"<row of epoch {e}>" for e in fixed[len(corrections):]]

@@ -30,9 +30,13 @@ def params_equal(a, b) -> bool:
 
 
 def covers_exactly(part, n: int) -> bool:
-    """True iff the partition's confident and unconfident indices together tile {0..n-1}."""
-    merged = np.concatenate([part.confident_idx, part.unconfident_idx])
-    return merged.size == n and np.array_equal(np.sort(merged), np.arange(n))
+    """True iff the partition's mask is a read-only ``(n,)`` bool array and its
+    confident and unconfident indices are the positions of its True and False."""
+    mask = part.confident
+    return (isinstance(mask, np.ndarray) and mask.shape == (n,) and mask.dtype == bool
+            and not mask.flags.writeable
+            and np.array_equal(part.confident_idx, np.flatnonzero(mask))
+            and np.array_equal(part.unconfident_idx, np.flatnonzero(~mask)))
 
 
 def load_tool(name: str):

@@ -117,6 +117,18 @@ class TestGenData:
         assert capsys.readouterr().err == f"error: {name} must be finite and positive, got inf\n"
         assert not out.exists()
 
+    def test_heldout_out_naming_the_out_file_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "a.ds"
+        out.write_bytes(b"kept")
+        (tmp_path / "sub").mkdir()
+        other = tmp_path / "sub" / ".." / "a.ds"
+        code = main(["gen-data", "--classes", "3", "--per-class", "10",
+                     "--out", str(out), "--heldout-out", str(other)])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", f"error: --out and --heldout-out name the same file: {other}\n")
+        assert out.read_bytes() == b"kept"
+
     def test_bad_generation_parameters(self, tmp_path, capsys):
         code = main(["gen-data", "--classes", "1", "--out", str(tmp_path / "x.ds")])
         assert code == 2
@@ -210,6 +222,25 @@ class TestTrain:
         assert [int(r[2]) for r in rows] == final.true_labels[unconfident].tolist()
         coords = np.array([[float(v) for v in r[3:]] for r in rows])
         assert np.array_equal(coords, result.net.embed(final.features[unconfident]))
+
+    @pytest.mark.parametrize("flags, named", [
+        (("--report", "train"), "--data and --report"),
+        (("--report", "r.txt", "--export-embeddings", "r.txt"),
+         "--report and --export-embeddings")], ids=["data-report", "report-export"])
+    def test_an_output_naming_another_file_of_the_run_exits_two(
+            self, dataset_files, tmp_path, capsys, flags, named):
+        train, heldout = dataset_files
+        config = write_config(tmp_path / "run.cfg")
+        inputs = (config, train, heldout)
+        before = [p.read_bytes() for p in inputs]
+        paths = {"train": str(train), "r.txt": str(tmp_path / "r.txt")}
+        code = main(["train", "--config", str(config), "--data", str(train),
+                     "--heldout", str(heldout), *(paths.get(f, f) for f in flags)])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"error: {named} name the same file: {paths[flags[-1]]}\n"
+        assert [p.read_bytes() for p in inputs] == before
+        assert sorted(tmp_path.iterdir()) == sorted(inputs)
 
     def test_missing_data_file(self, tmp_path, capsys):
         config = write_config(tmp_path / "run.cfg")

@@ -4,8 +4,9 @@ Checked: the package, the tests and the demos.  The package root is
 exempt, since its imports are its re-exports.  Also checked: the text
 rule of every file the package writes stays in ``data.write_lines`` (no
 other function of the package opens a file to write, and no module
-imports ``csv``), every rng of the package is built in ``net.py``, and
-the test settings let the session go on past a failing property test.
+imports ``csv``), every rng of the package is built in ``net.py``, no
+training code names a true label, and the test settings let the session
+go on past a failing property test.
 """
 
 import ast
@@ -104,6 +105,55 @@ def test_only_net_builds_generators(module):
 @pytest.mark.parametrize("module", MODULES + [PACKAGE / "__init__.py"], ids=lambda p: p.name)
 def test_no_module_imports_csv(module):
     assert not imports_csv(module.read_text())
+
+
+def true_label_reads(node) -> list:
+    """Lines under ``node`` that name ``true_labels`` or call ``correction_stats``."""
+    return [n.lineno for n in ast.walk(node)
+            if isinstance(n, ast.Name) and n.id == "true_labels"
+            or isinstance(n, ast.Attribute) and n.attr == "true_labels"
+            or isinstance(n, ast.Call) and "correction_stats" in (
+                getattr(n.func, "id", None), getattr(n.func, "attr", None))]
+
+
+def functions(source: str) -> dict:
+    """Every function and method of a module, by name."""
+    return {node.name: node for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef)}
+
+
+def schedule_loops(function) -> list:
+    """The ``for ... in schedule`` loops of a function."""
+    return [node for node in ast.walk(function) if isinstance(node, ast.For)
+            and isinstance(node.iter, ast.Name) and node.iter.id == "schedule"]
+
+
+def test_detects_a_true_label_read():
+    source = ("def run(ds, schedule):\n"
+              "    for epoch in schedule:\n"
+              "        y = ds.true_labels\n"
+              "        true_labels = y\n"
+              "        s = select.correction_stats(log, ds)\n"
+              "        correction_stats(log, ds)\n"
+              "        ds.working_labels\n"
+              "    return correction_stats(log, ds), ds.true_labels\n")
+    [loop] = schedule_loops(functions(source)["run"])
+    assert true_label_reads(loop) == [3, 4, 5, 6]
+    assert true_label_reads(functions(source)["run"]) == [3, 4, 5, 6, 8, 8]
+
+
+def test_training_names_no_true_label():
+    # the held-out labels are read by pipeline.evaluate alone; the
+    # corrections are scored after the epoch loop, from its logs
+    [loop] = schedule_loops(functions((PACKAGE / "pipeline.py").read_text())["run_with_artifacts"])
+    assert true_label_reads(loop) == []
+    select = functions((PACKAGE / "select.py").read_text())
+    for name in ("split_by_agreement", "build_prototypes", "repartition", "cosine_to_rows",
+                 "correction_probability"):
+        assert true_label_reads(select[name]) == [], name
+    for module in ("mixmatch.py", "net.py"):
+        for name, function in functions((PACKAGE / module).read_text()).items():
+            assert true_label_reads(function) == [], f"{module}: {name}"
 
 
 FAILING_PROPERTY_THEN_PASSING = """\

@@ -141,5 +141,7 @@ def test_sweep_counts_an_abort_and_goes_on():
     cells = closing["cells"]
     assert [(c["variant"], c["runs"], c["exit3"]) for c in cells] == [
         ("full", 2, 1), ("no_repar", 2, 0)]
-    full = cells[0]
+    full, no_repar = cells
     assert full["median_final"] == full["mean_final"] >= 0.90
+    assert full["q1_final"] is None and full["q3_final"] is None
+    assert no_repar["q1_final"] <= no_repar["median_final"] <= no_repar["q3_final"]

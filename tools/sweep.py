@@ -15,8 +15,9 @@ every size.
 
 It prints one row per (size, noise, variant) cell: the runs, the runs
 that abort (exit code 3 from ``protosemi train``), the runs that finish
-below 0.90 held-out accuracy, and the median and mean final accuracy of
-the runs that finish.  An abort is counted; it does not stop the sweep.
+below 0.90 held-out accuracy, and the median, mean and quartiles (q1,
+q3; inclusive method, none below two runs) of the final accuracy of the
+runs that finish.  An abort is counted; it does not stop the sweep.
 The first line, ``env numpy=... openblas_kernel=... nproc=...``, names
 the numpy version, the OpenBLAS kernel and the CPUs the process may use;
 the last line is the same table as JSON, with that environment under
@@ -67,10 +68,13 @@ def training_rows(text: str) -> int:
 def summarize(n: int, noise: str, variant: str, finals: list) -> dict:
     """One cell of the table; ``finals`` holds None for each aborted run."""
     done = [f for f in finals if f is not None]
+    q1, _, q3 = (statistics.quantiles(done, n=4, method="inclusive") if len(done) > 1
+                 else (None, None, None))
     return {"n": n, "noise": noise, "variant": variant, "runs": len(finals),
             "exit3": len(finals) - len(done), "below_0.90": sum(f < LOW for f in done),
             "median_final": statistics.median(done) if done else None,
-            "mean_final": statistics.fmean(done) if done else None}
+            "mean_final": statistics.fmean(done) if done else None,
+            "q1_final": q1, "q3_final": q3}
 
 
 def row(cell: dict) -> str:
@@ -78,7 +82,8 @@ def row(cell: dict) -> str:
         return "-" if x is None else f"{x:.4f}"
     return (f"{cell['n']:<7d}{cell['noise']:<11}{cell['variant']:<10}{cell['runs']:>5d}"
             f"{cell['exit3']:>7d}{cell['below_0.90']:>12d}"
-            f"{acc(cell['median_final']):>14}{acc(cell['mean_final']):>12}")
+            f"{acc(cell['median_final']):>14}{acc(cell['mean_final']):>12}"
+            f"{acc(cell['q1_final']):>10}{acc(cell['q3_final']):>10}")
 
 
 def environment() -> dict:
@@ -103,7 +108,8 @@ def sweep(sizes, noises, seeds) -> list:
     inject = {"factual": inject_factual_noise, "ambiguity": inject_ambiguity_noise}
     config = parse_config_file(CONFIG)
     print(f"{'n':<7}{'noise':<11}{'variant':<10}{'runs':>5}{'exit3':>7}"
-          f"{'below_0.90':>12}{'median_final':>14}{'mean_final':>12}", flush=True)
+          f"{'below_0.90':>12}{'median_final':>14}{'mean_final':>12}"
+          f"{'q1_final':>10}{'q3_final':>10}", flush=True)
     cells = []
     for n in sizes:
         for noise in noises:
