@@ -2,19 +2,21 @@
 
 no_semi stops after the warm-up (the plain noisy-label baseline),
 no_repar keeps the semi-supervised loop but never corrects a label,
-and full does both.  Prints the per-epoch trace of the full run and
-the final scoreboard.
+and full does both, each with the run config of configs/benchmark.cfg.
+Prints the per-epoch trace of the full run and the final scoreboard.
 
     python3 demos/ablation_study.py
 """
 
+from pathlib import Path
+
 from protosemi import (
-    PipelineConfig,
     generate_blobs,
     inject_factual_noise,
     run_with_artifacts,
     split_heldout,
 )
+from protosemi.cli import parse_config_file
 
 SEED = 0
 
@@ -24,23 +26,7 @@ train, heldout = split_heldout(clean, 0.2, SEED)
 train = inject_factual_noise(train, 0.3, SEED)
 print(f"train n={train.n} (30% labels wrong), heldout n={heldout.n} (clean)")
 
-config = PipelineConfig(
-    hidden_dims=(32, 16),
-    warmup_epochs=2,
-    proto_split_epochs=10,
-    main_epochs=18,
-    alpha=0.95,
-    beta=0.5,
-    base_lr=0.07,
-    batch_size=224,
-    weight_decay=5e-4,
-    k_aug=2,
-    temperature=0.5,
-    mix_alpha=0.75,
-    lambda_u=1.0,
-    aug_sigma=0.1,
-    seed=SEED,
-)
+config = parse_config_file(Path(__file__).resolve().parent.parent / "configs" / "benchmark.cfg")
 
 results = {}
 for variant in ("full", "no_repar", "no_semi"):

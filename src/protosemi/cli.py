@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
+from dataclasses import astuple, fields
 
 from .data import (
     generate_blobs,
@@ -37,7 +39,7 @@ from .pipeline import (
     write_report,
     write_stats_csv,
 )
-from .select import correction_stats, load_correction_log, save_correction_log
+from .select import StatsRow, correction_stats, load_correction_log, save_correction_log
 
 # provenance of the matching dataset: checked for well-formedness, never
 # passed to training
@@ -75,13 +77,19 @@ def parse_config_file(path) -> PipelineConfig:
 
 
 def _require_distinct(args, inputs: tuple, outputs: tuple) -> None:
-    """Raise ParameterError if an output flag names the file of an input or another output."""
+    """Raise ParameterError if an output flag names the file of an input or another output,
+    or any flag names ``.stats.csv`` or ``.corrections-epoch<N>.csv`` beside ``--report``."""
+    stem = "report" in outputs and os.path.join(
+        os.path.realpath(os.path.dirname(args.report)), os.path.basename(args.report))
     flags: dict[str, str] = {}  # real path -> the first flag that names it
     for dest in (d for d in inputs + outputs if getattr(args, d) is not None):
         path, flag = getattr(args, dest), "--" + dest.replace("_", "-")
-        first = flags.setdefault(os.path.realpath(path), flag)
+        real = os.path.realpath(path)
+        first = flags.setdefault(real, flag)
         if first != flag and dest in outputs:
             raise ParameterError(f"{first} and {flag} name the same file: {path}")
+        if stem and re.fullmatch(re.escape(stem) + r"\.(stats|corrections-epoch[0-9]+)\.csv", real):
+            raise ParameterError(f"{flag} names a file that --report writes: {path}")
 
 
 def _cmd_gen_data(args) -> int:
@@ -104,13 +112,15 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _print_stats_block(corrections) -> None:
-    print("corrections (per repartition epoch):")
-    print("  epoch  unconfident  small_circle  corrected  right  accuracy")
-    for entry in corrections:
-        s = entry.stats
-        print(f"  {entry.epoch:<6d} {s.unconfident_size:<12d} {s.small_circle:<13d} "
-              f"{s.corrected:<10d} {s.right:<6d} {s.accuracy_text()}")
+def _print_scorecard(rows, lead=(), indent="") -> None:
+    """Print the ``lead`` columns, each StatsRow field, then accuracy; a row is
+    its lead cells, then its StatsRow."""
+    names = [*lead, *(f.name for f in fields(StatsRow))]
+    table = [(*names, "accuracy")] + [
+        (*cells, *astuple(stats), stats.accuracy_text()) for *cells, stats in rows]
+    for *cells, last in table:
+        print(indent + "".join(f"{cell:<{len(name) + 1}} "
+                               for name, cell in zip(names, cells, strict=True)) + last)
 
 
 def _cmd_train(args) -> int:
@@ -134,16 +144,15 @@ def _cmd_train(args) -> int:
     print(f"best accuracy  {report.best_accuracy:.4f} (epoch {report.best_epoch})")
     print(f"last accuracy  {report.final_accuracy:.4f}")
     if report.corrections:
-        _print_stats_block(report.corrections)
+        print("corrections (per repartition epoch):")
+        _print_scorecard([(e.epoch, e.stats) for e in report.corrections],
+                         lead=("epoch",), indent="  ")
     return 0
 
 
 def _cmd_stats(args) -> int:
     dataset = load_dataset(args.data)
-    s = correction_stats(load_correction_log(args.log, dataset), dataset)
-    print("unconfident_size  small_circle  corrected  right  accuracy")
-    print(f"{s.unconfident_size:<17d} {s.small_circle:<13d} {s.corrected:<10d} "
-          f"{s.right:<6d} {s.accuracy_text()}")
+    _print_scorecard([(correction_stats(load_correction_log(args.log, dataset), dataset),)])
     return 0
 
 

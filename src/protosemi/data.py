@@ -134,6 +134,13 @@ def _require_clean(ds: NoisyDataset, rate: float) -> None:
         raise ParameterError("noise injection requires a clean dataset (working == true)")
 
 
+def _relabeled(ds: NoisyDataset, rows: np.ndarray, labels: np.ndarray) -> NoisyDataset:
+    """A copy of the clean ``ds`` whose working labels at ``rows`` are ``labels``."""
+    working = ds.true_labels.copy()
+    working[rows] = labels
+    return NoisyDataset(ds.features.copy(), working, ds.true_labels, ds.num_classes)
+
+
 def inject_factual_noise(ds: NoisyDataset, rate: float, seed: int) -> NoisyDataset:
     """Flip exactly round(rate * n) uniformly chosen labels to wrong classes.
 
@@ -147,15 +154,8 @@ def inject_factual_noise(ds: NoisyDataset, rate: float, seed: int) -> NoisyDatas
     n, k = ds.n, ds.num_classes
     num_flips = round_half_away(rate * n)
     chosen = np.sort(rng.choice(n, size=num_flips, replace=False))
-    working = ds.true_labels.copy()
     offsets = rng.integers(k - 1, size=chosen.size)
-    working[chosen] = offsets + (offsets >= working[chosen])
-    return NoisyDataset(
-        features=ds.features.copy(),
-        working_labels=working,
-        true_labels=ds.true_labels,
-        num_classes=k,
-    )
+    return _relabeled(ds, chosen, offsets + (offsets >= ds.true_labels[chosen]))
 
 
 def inject_ambiguity_noise(ds: NoisyDataset, rate: float, seed: int) -> NoisyDataset:
@@ -184,14 +184,7 @@ def inject_ambiguity_noise(ds: NoisyDataset, rate: float, seed: int) -> NoisyDat
 
     order = np.lexsort((np.arange(n), margin))
     flip = order[:num_flips]
-    working = ds.true_labels.copy()
-    working[flip] = nearest_other[flip]
-    return NoisyDataset(
-        features=ds.features.copy(),
-        working_labels=working,
-        true_labels=ds.true_labels,
-        num_classes=k,
-    )
+    return _relabeled(ds, flip, nearest_other[flip])
 
 
 def split_heldout(ds: NoisyDataset, fraction: float, seed: int) -> tuple[NoisyDataset, NoisyDataset]:

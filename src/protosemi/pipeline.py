@@ -11,8 +11,6 @@ deterministic in the run seed; the caller's dataset is never mutated
 features are shared read-only).
 """
 
-from __future__ import annotations
-
 import dataclasses
 import re
 from contextlib import contextmanager
@@ -172,10 +170,9 @@ class PipelineConfig:
         return {f.key: f.text(getattr(self, f.key)) for f in CONFIG_FIELDS}
 
 
-# the run-config schema, PipelineConfig's init fields in report-header order:
-# it drives config-file parsing, the config echo, and the report header
-_PARSERS = {"tuple": _parse_dims, "int": int, "float": float, "str": str}
-CONFIG_FIELDS = tuple(ConfigField(f.name, _PARSERS[f.type])
+# the run-config schema, PipelineConfig's init fields in report-header order, each parsed
+# by its type (dims by _parse_dims): it drives config parsing, the echo and the report header
+CONFIG_FIELDS = tuple(ConfigField(f.name, _parse_dims if f.type is tuple else f.type)
                       for f in dataclasses.fields(PipelineConfig) if f.init)
 
 
@@ -202,9 +199,9 @@ class CorrectionEpoch:
 
 # report CSV columns and cell parsers, from the records the blocks hold: a correction
 # row is its epoch, its StatsRow, then accuracy_pct; the schedule gives epoch and phase
-_EPOCH_COLUMNS = {f.name: _PARSERS[f.type] for f in dataclasses.fields(EpochRecord)}
-_CORRECTION_COLUMNS = {name: _PARSERS[type_] for name, type_ in (("epoch", "int"), *(
-    (f.name, f.type) for f in dataclasses.fields(StatsRow)), ("accuracy_pct", "str"))}
+_EPOCH_COLUMNS = {f.name: f.type for f in dataclasses.fields(EpochRecord)}
+_CORRECTION_COLUMNS = {"epoch": int, **{f.name: f.type for f in dataclasses.fields(StatsRow)},
+                       "accuracy_pct": str}
 
 
 @dataclass

@@ -18,9 +18,8 @@ Samples in either circle move to the confident set, and corrected
 labels are written back to the dataset so later epochs see them.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -35,10 +34,6 @@ from .net import Network, is_real
 
 ZONES = ("small", "ring", "outside")
 ACTIONS = ("corrected", "retained", "unmoved")
-# correction-log columns and cell parsers
-_LOG_PARSERS = {"index": int, "d_max": float, "proto_label": int, "prior_label": int,
-                "zone": str, "action": str, "p_correct": float, "true_label": int}
-LOG_COLUMNS = tuple(_LOG_PARSERS)
 
 
 @dataclass(frozen=True)
@@ -99,6 +94,11 @@ class CorrectionRecord:
     zone: str    # small | ring | outside
     action: str  # corrected | retained | unmoved
     p_correct: float
+
+
+# correction-log columns and cell parsers: a record's fields, then the sample's true label
+_LOG_PARSERS = {**{f.name: f.type for f in fields(CorrectionRecord)}, "true_label": int}
+LOG_COLUMNS = tuple(_LOG_PARSERS)
 
 
 @dataclass(frozen=True)
@@ -239,9 +239,9 @@ def correction_stats(log: list[CorrectionRecord], ds: NoisyDataset) -> StatsRow:
 def save_correction_log(log: list[CorrectionRecord], ds: NoisyDataset, path) -> None:
     """CSV export of a repartition log, one row per unconfident sample."""
     true = ds.true_labels.tolist()
-    write_lines(path, [csv_line(LOG_COLUMNS)] + [csv_line([
-        r.index, r.d_max, r.proto_label, r.prior_label,
-        r.zone, r.action, r.p_correct, true[r.index]]) for r in log])
+    cells = attrgetter(*LOG_COLUMNS[:-1])
+    write_lines(path, [csv_line(LOG_COLUMNS)] + [
+        csv_line([*cells(r), true[r.index]]) for r in log])
 
 
 def load_correction_log(path, ds: NoisyDataset) -> list[CorrectionRecord]:

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, artifact files, and exit codes."""
 
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from protosemi.net import init_network
 from protosemi.pipeline import parse_report, run_with_artifacts, write_report
 from protosemi.select import (
     CorrectionRecord,
+    StatsRow,
     correction_stats,
     load_correction_log,
     save_correction_log,
@@ -241,6 +243,59 @@ class TestTrain:
             f"error: {named} name the same file: {paths[flags[-1]]}\n"
         assert [p.read_bytes() for p in inputs] == before
         assert sorted(tmp_path.iterdir()) == sorted(inputs)
+
+    @pytest.mark.parametrize("data, outputs, flag", [
+        ("train.ds", ("--report", "r", "--export-embeddings", "r.stats.csv"),
+         "--export-embeddings"),
+        ("r2.stats.csv", ("--report", "r2"), "--data"),
+        ("r3.corrections-epoch4.csv", ("--report", "r3"), "--data"),
+    ], ids=["export-stats", "data-stats", "data-log"])
+    def test_a_flag_naming_a_file_the_report_derives_exits_two(
+            self, dataset_files, tmp_path, capsys, data, outputs, flag):
+        train, heldout = dataset_files
+        train = train.rename(tmp_path / data)
+        config = write_config(tmp_path / "run.cfg")
+        inputs = (config, train, heldout)
+        before = [p.read_bytes() for p in inputs]
+        code = main(["train", "--config", str(config), "--data", str(train),
+                     "--heldout", str(heldout),
+                     *(f if f.startswith("--") else str(tmp_path / f) for f in outputs)])
+        assert code == 2
+        named = tmp_path / (data if flag == "--data" else outputs[-1])
+        assert capsys.readouterr().err == \
+            f"error: {flag} names a file that --report writes: {named}\n"
+        assert [p.read_bytes() for p in inputs] == before
+        assert sorted(tmp_path.iterdir()) == sorted(inputs)
+
+    def test_a_symlinked_report_derives_names_beside_the_link(
+            self, dataset_files, tmp_path, capsys):
+        train, heldout = dataset_files
+        config = write_config(tmp_path / "run.cfg")
+        (tmp_path / "r").symlink_to(tmp_path / "elsewhere")
+        data = train.rename(tmp_path / "r.stats.csv")
+        before = data.read_bytes()
+        assert main(["train", "--config", str(config), "--data", str(data),
+                     "--heldout", str(heldout), "--report", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: --data names a file that --report writes: {data}\n"
+        assert data.read_bytes() == before
+        assert not (tmp_path / "elsewhere").exists()
+
+    def test_train_and_stats_scorecards_name_every_stats_field(
+            self, dataset_files, tmp_path, capsys):
+        train, heldout = dataset_files
+        config = write_config(tmp_path / "run.cfg")
+        report = tmp_path / "run.report"
+        assert main(["train", "--config", str(config), "--data", str(train),
+                     "--heldout", str(heldout), "--report", str(report)]) == 0
+        train_out = capsys.readouterr().out.splitlines()
+        assert main(["stats", "--log", f"{report}.corrections-epoch4.csv",
+                     "--data", str(train)]) == 0
+        stats_out = capsys.readouterr().out.splitlines()
+        names = [f.name for f in fields(StatsRow)]
+        title = train_out.index("corrections (per repartition epoch):")
+        assert train_out[title + 1].split() == ["epoch", *names, "accuracy"]
+        assert stats_out[0].split() == [*names, "accuracy"]
 
     def test_missing_data_file(self, tmp_path, capsys):
         config = write_config(tmp_path / "run.cfg")
