@@ -1,12 +1,14 @@
 """Semi-supervised training over a labeled/unlabeled split.
 
-Each labeled batch of b rows is paired with min(b, pool) distinct
-unlabeled rows, each of which receives one guessed label distribution
-(mean softmax over a few jittered copies, sharpened by temperature);
-then labeled and unlabeled batches are mixed against a shared shuffled
-pool of both.  The loss is soft-target cross-entropy on the mixed
-labeled batch plus a weighted squared error between predicted and
-guessed distributions on the mixed unlabeled batch.
+An epoch sweeps the unlabeled pool alongside the labeled rows: each
+labeled batch of b rows takes its share d of the pool, so a pool smaller
+than the labeled set is guessed once per epoch, as each labeled row is
+seen once.  Each pool row receives one guessed label distribution (mean
+softmax over a few jittered copies, sharpened by temperature); then
+labeled and unlabeled batches are mixed against a shared shuffled pool
+of both.  The loss is soft-target cross-entropy on the mixed labeled
+batch plus a squared error between predicted and guessed distributions
+on the mixed unlabeled batch, weighted by d/b.
 """
 
 from __future__ import annotations
@@ -148,13 +150,16 @@ def semi_train_epoch(net: Network, confident_view, unconfident_view,
     array and n labels; ``unconfident_view`` is an (m, D) float64 array,
     m possibly 0, treated as unlabeled.  ``semi_config`` is trusted: the
     per-batch steps do not re-check its values.  Labeled
-    batches follow the same shuffle stream as plain supervised training;
-    the batch at shuffle positions start..start+b-1 is paired with the
-    d = min(b, m) rows at positions start..start+d-1 (mod m) of a
-    shuffled unlabeled order.  Each of these distinct rows is jittered,
-    guessed and mixed once, and the Brier term is their mean.
-    Returns (labeled loss, unlabeled loss), both measured before the
-    updates of their batch.
+    batches follow the same shuffle stream as plain supervised training.
+    With swept = min(m, n), the batch at labeled shuffle positions
+    [start, stop) takes the rows at positions
+    [start*swept // n, stop*swept // n) of a shuffled unlabeled order, so
+    each of its first ``swept`` rows is jittered, guessed and mixed once
+    per epoch.  The Brier term is the mean over the batch's d rows,
+    weighted by lambda * ramp * d/b; a batch with d = 0 makes no guess
+    and no Brier pass.  Returns (labeled loss, unlabeled loss), both
+    measured before the updates of their batch; the unlabeled loss is
+    the mean over the swept rows.
 
     When the ramped unlabeled weight is zero the unlabeled pathway is
     skipped entirely, so with aug_sigma = 0 and a Beta draw of exactly
@@ -175,8 +180,10 @@ def semi_train_epoch(net: Network, confident_view, unconfident_view,
     n = xl.shape[0]
     perm = epoch_rng(train_config.seed, "shuffle", epoch).permutation(n)
     rng = epoch_rng(train_config.seed, "mix", epoch)
+    swept = 0  # the epoch sweeps the first `swept` rows of the unlabeled order
     if use_unlabeled:
         u_order = rng.permutation(xu.shape[0])
+        swept = min(u_order.size, n)
 
     labeled_total = 0.0
     unlabeled_total = 0.0
@@ -189,10 +196,11 @@ def semi_train_epoch(net: Network, confident_view, unconfident_view,
         xb = augment(xl.take(rows, axis=0), sigma, rng)
         pb = one_hot(yl[rows], net.num_classes)
 
-        if use_unlabeled:
-            # the next min(b, pool) rows of the cyclic order, each once
-            d = min(b, u_order.size)
-            xt = xu[u_order[np.arange(start, start + d) % u_order.size]]
+        # the batch's share of the sweep, empty for some batches when swept < n
+        u_start, u_stop = start * swept // n, stop * swept // n
+        d = u_stop - u_start
+        if d:
+            xt = xu[u_order[u_start:u_stop]]
             qb = guess_labels(net, xt, semi_config.k_aug, semi_config.temperature,
                               sigma, rng)
             ub = augment(xt, sigma, rng)
@@ -208,13 +216,16 @@ def semi_train_epoch(net: Network, confident_view, unconfident_view,
         loss_l, grads_w, grads_b = cross_entropy_grads(net, mixed_x[:b], mixed_p[:b])
         labeled_total += loss_l * b
 
-        if use_unlabeled:
+        if d:
             loss_u, ugrads_w, ugrads_b = brier_grads(net, mixed_x[b:], mixed_p[b:])
-            unlabeled_total += loss_u * b
+            unlabeled_total += loss_u * d
+            # d == b gives lam_u exactly; lam_u * d / b may round away from it
+            weight = lam_u * (d / b)
             for g, ug in zip(grads_w + grads_b, ugrads_w + ugrads_b):
-                ug *= lam_u
+                ug *= weight
                 g += ug
 
         net.sgd_step(grads_w, grads_b, lr, train_config.weight_decay)
 
-    return labeled_total / n, unlabeled_total / n if use_unlabeled else 0.0
+    # the batches' shares add up to the whole sweep
+    return labeled_total / n, unlabeled_total / swept if swept else 0.0

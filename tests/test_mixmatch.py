@@ -1,13 +1,14 @@
 """Augmentation, label guessing, mixup, and the semi-supervised epoch."""
 
 import copy
+import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import params_equal
+from helpers import load_tool, one_blas_thread, params_equal
 from protosemi import mixmatch
 from protosemi.errors import ParameterError
 from protosemi.mixmatch import (
@@ -34,6 +35,14 @@ from protosemi.net import (
 
 # frozen: (0.8, 0.2) squared and renormalized = (16/17, 1/17)
 SHARPEN_08_02_T05 = (0.9411764705882353, 0.058823529411764705)
+
+# test_a_pool_as_large_as_the_labeled_set_keeps_its_bits, per OpenBLAS kernel
+# (numpy 2.4.6, BLAS scipy-openblas 0.3.31.188.0)
+LARGE_POOL_DIGESTS = {
+    "SkylakeX": "83c1cc8b061dbd2a4297b2be5d8dd2ab5e0edb8c12e49804601e5c5703a707a0",
+    "Haswell": "83c1cc8b061dbd2a4297b2be5d8dd2ab5e0edb8c12e49804601e5c5703a707a0",
+    "Sandybridge": "766ce51fa0f94bf3498c09069a8089c6008667ad6a8fae75cddd7316fae81ef0",
+}
 
 
 class FixedLambda:
@@ -403,43 +412,128 @@ class TestSemiTrainEpoch:
             semi_train_epoch(net, (xl, yl), xu, SemiConfig(), config, epoch)
         assert params_equal(net, before)
 
-    @pytest.mark.parametrize("n_unlabeled", [1, 8, 9])  # one row, batch_size, batch_size + 1
-    def test_each_pool_row_is_guessed_once_per_batch(self, monkeypatch, n_unlabeled):
+    # one row, batch_size, batch_size + 1, the labeled set's size, larger
+    @pytest.mark.parametrize("n_unlabeled", [1, 8, 9, 26, 30])
+    def test_each_pool_row_is_guessed_once_per_epoch(self, monkeypatch, n_unlabeled):
         batch_size, epoch = 8, 1  # epoch 1 of 2: the unlabeled weight is on
         xl, yl, xu = toy_views(seed=6, n_labeled=26, n_unlabeled=n_unlabeled)
+        n = len(xl)
         config = TrainConfig(base_lr=0.05, total_epochs=2, batch_size=batch_size, seed=3)
-        guessed, targets = [], []
-        real_guess, real_mixup = mixmatch.guess_labels, mixmatch.mixup
+        calls = []  # (kernel, what it got), in call order
+        real_guess, real_mixup, real_brier = (mixmatch.guess_labels, mixmatch.mixup,
+                                              mixmatch.brier_grads)
 
         def spy_guess(net, u, *args):
             q = real_guess(net, u, *args)
-            guessed.append((u.copy(), q))
+            calls.append(("guess", (u.copy(), q)))
             return q
 
         def spy_mixup(x1, p1, *args):
-            targets.append(p1.copy())
+            calls.append(("mixup", p1.copy()))
             return real_mixup(x1, p1, *args)
+
+        def spy_brier(net, batch, targets):
+            calls.append(("brier", len(batch)))
+            return real_brier(net, batch, targets)
 
         monkeypatch.setattr(mixmatch, "guess_labels", spy_guess)
         monkeypatch.setattr(mixmatch, "mixup", spy_mixup)
+        monkeypatch.setattr(mixmatch, "brier_grads", spy_brier)
         semi_train_epoch(init_network([4, 6, 2], seed=0), (xl, yl), xu,
                          SemiConfig(lambda_u=1.0, aug_sigma=0.1), config, epoch)
 
-        # the unlabeled order is the epoch's first mix draw; batches cycle it
+        # one mixup per batch; a batch's guess comes before it, its Brier pass after
+        batches, pending = [], {}
+        for kind, got in calls:
+            if kind == "brier":
+                batches[-1]["brier"] = got
+            else:
+                pending[kind] = got
+            if kind == "mixup":
+                batches.append(pending)
+                pending = {}
+        assert not pending
+
+        # the unlabeled order is the epoch's first mix draw; an epoch sweeps
+        # its first min(pool, n) rows once, in order, spread over the batches
         u_order = epoch_rng(config.seed, "mix", epoch).permutation(n_unlabeled)
-        starts = range(0, len(xl), batch_size)
-        assert len(guessed) == len(targets) == len(starts)
-        for start, (u, q), p1 in zip(starts, guessed, targets):
-            b = min(batch_size, len(xl) - start)
-            d = min(b, n_unlabeled)
-            take = u_order[np.arange(start, start + d) % n_unlabeled].tolist()
-            rows = [int(np.flatnonzero((xu == row).all(axis=1))[0]) for row in u]
-            # the batch's pool rows, distinct, in the order's cyclic order
-            assert rows == take and len(set(rows)) == d
-            # the mixup pool holds each row once, carrying its own guess
+        m = min(n_unlabeled, n)
+        starts = range(0, n, batch_size)
+        assert len(batches) == len(starts)
+        swept = []
+        for start, batch in zip(starts, batches):
+            stop = min(start + batch_size, n)
+            b = stop - start
+            take = u_order[start * m // n:stop * m // n].tolist()
+            d = len(take)
+            p1 = batch["mixup"]
+            # the mixup pool holds each of the batch's pool rows once
             assert len(p1) == b + d
+            if d == 0:
+                # an empty share makes no guess and no Brier pass
+                assert set(batch) == {"mixup"}
+                continue
+            u, q = batch["guess"]
+            rows = [int(np.flatnonzero((xu == row).all(axis=1))[0]) for row in u]
+            assert rows == take
+            assert batch["brier"] == d
+            # each row carries its own guess into the mixup pool
             for i in range(d):
                 assert p1[b + i].tobytes() == q[i].tobytes()
+            swept += rows
+        assert swept == u_order[:m].tolist()
+        if n_unlabeled < n:
+            assert sorted(swept) == list(range(n_unlabeled))
+        if n_unlabeled == 1:
+            # the one row rides with the last labeled row; the other batches skip
+            assert ["guess" in batch for batch in batches] == [False, False, False, True]
+
+    @pytest.mark.parametrize("n_unlabeled", [1, 9, 30])
+    def test_unlabeled_loss_is_the_mean_over_the_rows_that_carried_it(
+            self, monkeypatch, n_unlabeled):
+        xl, yl, xu = toy_views(seed=8, n_labeled=26, n_unlabeled=n_unlabeled)
+        config = TrainConfig(base_lr=0.05, total_epochs=2, batch_size=8, seed=4)
+        carried = []  # (Brier loss, rows) per batch that ran the pass
+        real_brier = mixmatch.brier_grads
+
+        def spy_brier(net, batch, targets):
+            out = real_brier(net, batch, targets)
+            carried.append((out[0], len(batch)))
+            return out
+
+        monkeypatch.setattr(mixmatch, "brier_grads", spy_brier)
+        _, loss_u = semi_train_epoch(init_network([4, 6, 2], seed=1), (xl, yl), xu,
+                                     SemiConfig(lambda_u=1.0, aug_sigma=0.1), config, 1)
+        rows = sum(d for _, d in carried)
+        assert rows == min(n_unlabeled, len(xl))
+        assert loss_u == sum(loss * d for loss, d in carried) / rows
+        if n_unlabeled == 1:
+            # one batch carried the row, so the epoch's loss is that batch's
+            assert len(carried) == 1 and loss_u == carried[0][0]
+
+    def test_a_pool_as_large_as_the_labeled_set_keeps_its_bits(self):
+        # digest of the parameters and every epoch's losses under the rule
+        # that paired the batch at shuffle positions [start, stop) with the
+        # pool rows at the same positions, per OpenBLAS kernel (as
+        # GOLDEN_REPORTS in test_tools.py); lambda_u = 0.1 at batch_size 3
+        # pins the weight's evaluation order, since 0.1 * 3 / 3 != 0.1
+        kernel = load_tool("output_digests").blas_kernel()
+        assert kernel in LARGE_POOL_DIGESTS, f"no digest recorded for OpenBLAS kernel {kernel!r}"
+        rng = np.random.default_rng(12)
+        xl = rng.standard_normal((12, 4))
+        xl[:, 0] += np.where(np.arange(12) % 2 == 0, 3.0, -3.0)
+        yl = np.arange(12) % 2
+        xu = rng.standard_normal((15, 4))
+        net = init_network([4, 8, 2], seed=5)
+        config = TrainConfig(base_lr=0.05, total_epochs=3, batch_size=3, seed=8)
+        semi = SemiConfig(lambda_u=0.1, aug_sigma=0.1)
+        with one_blas_thread():
+            losses = [semi_train_epoch(net, (xl, yl), xu, semi, config, e) for e in range(3)]
+        digest = hashlib.sha256()
+        for array in net.weights + net.biases:
+            digest.update(array.tobytes())
+        digest.update(repr(losses).encode())
+        assert digest.hexdigest() == LARGE_POOL_DIGESTS[kernel]
 
 
 def _two_mixup_epoch(net, confident_view, xu, semi, config, epoch):
@@ -455,18 +549,20 @@ def _two_mixup_epoch(net, confident_view, xu, semi, config, epoch):
     rng = epoch_rng(config.seed, "mix", epoch)
     if use_unlabeled:
         u_order = rng.permutation(xu.shape[0])
-        u_offset = 0
+        m = min(xu.shape[0], n)
+        # pool row j of the sweep rides with labeled position ceil((j+1) n/m) - 1,
+        # so the m rows spread evenly and the last rides with the last row
+        rider = -(-np.arange(1, m + 1) * n // m) - 1
     labeled_total = unlabeled_total = 0.0
     unlabeled_count = 0
     for start in range(0, n, config.batch_size):
         idx = perm[start:start + config.batch_size]
         xb = augment(xl[idx], sigma, rng)
         pb = one_hot(yl[idx], net.num_classes)
+        take = []
         if use_unlabeled:
-            # the batch's min(b, pool) distinct pool rows, each guessed once
-            d = min(len(idx), u_order.size)
-            take = u_order[np.arange(u_offset, u_offset + d) % u_order.size]
-            u_offset += len(idx)
+            take = u_order[:m][(rider >= start) & (rider < start + len(idx))]
+        if len(take):
             qb = guess_labels(net, xu[take], semi.k_aug, semi.temperature, sigma, rng)
             ub = augment(xu[take], sigma, rng)
             pool_x = np.concatenate([xb, ub])
@@ -478,14 +574,15 @@ def _two_mixup_epoch(net, confident_view, xu, semi, config, epoch):
         mixed_x, mixed_p = mixup(xb, pb, pool_x[lab], pool_p[lab], semi.mix_alpha, rng)
         loss_l, grads_w, grads_b = cross_entropy_grads(net, mixed_x, mixed_p)
         labeled_total += loss_l * len(idx)
-        if use_unlabeled:
+        if len(take):
             unl = pool_order[len(idx):]
             umix_x, umix_p = mixup(ub, qb, pool_x[unl], pool_p[unl], semi.mix_alpha, rng)
             loss_u, ugrads_w, ugrads_b = brier_grads(net, umix_x, umix_p)
-            unlabeled_total += loss_u * len(idx)
-            unlabeled_count += len(idx)
-            grads_w = [g + lam_u * ug for g, ug in zip(grads_w, ugrads_w)]
-            grads_b = [g + lam_u * ug for g, ug in zip(grads_b, ugrads_b)]
+            unlabeled_total += loss_u * len(take)
+            unlabeled_count += len(take)
+            weight = lam_u * (len(take) / len(idx))
+            grads_w = [g + weight * ug for g, ug in zip(grads_w, ugrads_w)]
+            grads_b = [g + weight * ug for g, ug in zip(grads_b, ugrads_b)]
         net.sgd_step(grads_w, grads_b, lr, config.weight_decay)
     return labeled_total / n, unlabeled_total / unlabeled_count if unlabeled_count else 0.0
 
@@ -502,6 +599,7 @@ class TestSemiEpochReplay:
         (4, 26, 5, 5, 1.0),     # pool as large as a batch
         (16, 40, 7, 16, 1.0),
         (4, 26, 10, 5, 0.0),    # lambda_u = 0
+        (4, 12, 15, 5, 1.0),    # pool larger than the labeled set
     ])
     def test_matches_two_mixup_loop(self, dim, n_labeled, n_unlabeled, batch_size, lambda_u):
         rng = np.random.default_rng(dim * 100 + n_unlabeled)

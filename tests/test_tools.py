@@ -22,15 +22,15 @@ SWEEP = SCRIPT.with_name("sweep.py")
 GOLDEN_REPORTS = {
     "SkylakeX": {
         "p500-s0.no_semi.report": "f488e78141f1ae0040b0e4ca8ad1197c60b0d4790933c93f5b4fe7d211f48655",
-        "p500-s0.full.report": "21cf1e8fa0f027c4f0e541d903adc43145ddd6a12a7425f7dc1701ea39cff3ca",
+        "p500-s0.full.report": "332e7335643935af44ea61ee07e156a5a548632f1e4f7dadbd0da68f2ccfd8be",
     },
     "Haswell": {
         "p500-s0.no_semi.report": "fa83b28515108899e86c4d6aa1d4b590413073f2134514c39581d3421cd9a336",
-        "p500-s0.full.report": "d9c2224f5a1de0ab20f47d1955fa17576de0201e5443627a75187cb6437e08b6",
+        "p500-s0.full.report": "c2a60db67ae0f6f6c03efdee3dfeeb842c2a14ddfd2652caea5cf9ad0f796071",
     },
     "Sandybridge": {
         "p500-s0.no_semi.report": "bf8d45e8060271b4d68fcaf05c1e15b6bebd093eb4dd2a56f525dcd6cf45b744",
-        "p500-s0.full.report": "6918517493fc1431eeaa9d3b2b94ff4f488c17ba60e3d25de044df3414ea4e0e",
+        "p500-s0.full.report": "5e7e827186f45333af55dcce675359d73c39a4ba3208e2f80c5ae63cc95feef8",
     },
 }
 KERNEL_LINE = "OpenBLAS kernel: "
@@ -145,3 +145,16 @@ def test_sweep_counts_an_abort_and_goes_on():
     assert full["median_final"] == full["mean_final"] >= 0.90
     assert full["q1_final"] is None and full["q3_final"] is None
     assert no_repar["q1_final"] <= no_repar["median_final"] <= no_repar["q3_final"]
+
+
+def test_sweep_writes_its_closing_line_to_out(tmp_path):
+    out = tmp_path / "SWEEP_one.json"
+    run = subprocess.run([sys.executable, str(SWEEP), "--sizes", "1600",
+                          "--noise", "factual", "--seeds", "4", "--out", str(out)],
+                         capture_output=True, text=True, check=True)
+    written = out.read_text()
+    assert written == run.stdout.splitlines()[-1] + "\n"
+    closing = json.loads(written)
+    assert set(closing["env"]) == {"numpy", "openblas_kernel", "nproc"}
+    assert [(c["n"], c["noise"], c["variant"], c["runs"]) for c in closing["cells"]] == [
+        (1600, "factual", "full", 1), (1600, "factual", "no_repar", 1)]

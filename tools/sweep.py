@@ -1,6 +1,6 @@
 """Sweep the method over dataset size, noise type, variant and data seed.
 
-    python tools/sweep.py [--sizes N ...] [--noise TYPE ...] [--seeds LIST]
+    python tools/sweep.py [--sizes N ...] [--noise TYPE ...] [--seeds LIST] [--out PATH]
 
 For every size n (training rows), noise type and data seed, this makes
 the dataset ``gen-data --per-class 5n/16 --rate 0.3 --seed SEED --noise
@@ -21,7 +21,8 @@ runs that finish.  An abort is counted; it does not stop the sweep.
 The first line, ``env numpy=... openblas_kernel=... nproc=...``, names
 the numpy version, the OpenBLAS kernel and the CPUs the process may use;
 the last line is the same table as JSON, with that environment under
-``env``.
+``env``.  ``--out PATH`` also writes that JSON line to PATH, e.g.
+``SWEEP_<label>.json`` for comparing two checkouts.
 """
 
 from __future__ import annotations
@@ -140,6 +141,8 @@ def main(argv=None) -> int:
                         default=["factual", "ambiguity"])
     parser.add_argument("--seeds", type=parse_seeds, default=None, metavar="LIST",
                         help="data seeds for every size, e.g. 0-99 or 4,5")
+    parser.add_argument("--out", type=Path, default=None, metavar="PATH",
+                        help="also write the closing JSON line to PATH")
     args = parser.parse_args(argv)
     missing = [n for n in args.sizes if n not in DEFAULT_SEEDS]
     if missing and args.seeds is None:
@@ -151,7 +154,10 @@ def main(argv=None) -> int:
     env = environment()
     print("env " + " ".join(f"{key}={value}" for key, value in env.items()), flush=True)
     cells = sweep(args.sizes, args.noise, args.seeds)
-    print(json.dumps({"env": env, "cells": cells}))
+    closing = json.dumps({"env": env, "cells": cells})
+    print(closing)
+    if args.out is not None:
+        args.out.write_text(closing + "\n")
     return 0
 
 
