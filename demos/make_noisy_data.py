@@ -17,6 +17,7 @@ from protosemi import (
     save_dataset,
     split_heldout,
 )
+from protosemi.data import class_margin
 
 clean = generate_blobs(num_classes=4, per_class=250, dim=16,
                        separation=6.0, spread=1.0, seed=0)
@@ -42,17 +43,13 @@ ambiguity = inject_ambiguity_noise(train, 0.3, seed=1)
 amb_flipped = np.flatnonzero(ambiguity.working_labels != ambiguity.true_labels)
 
 # ambiguity noise picks the most boundary-hugging samples, so the flipped
-# group should sit much closer to a rival center than a random flip would
-def margin(ds, idx):
-    own = centers[ds.true_labels[idx]]
-    d_own = np.linalg.norm(ds.features[idx] - own, axis=1)
-    d_all = np.linalg.norm(ds.features[idx][:, None] - centers[None], axis=2)
-    d_all[np.arange(idx.size), ds.true_labels[idx]] = np.inf
-    return (d_all.min(axis=1) - d_own).mean()
+# group should sit much closer to a rival center than a random flip would;
+# class_margin is the margin the injector ranks by
+margin, _ = class_margin(train)
 
 print(f"\nambiguity noise at 30%: {amb_flipped.size} flips")
-print(f"mean margin of flipped samples:   {margin(ambiguity, amb_flipped):6.2f}")
-print(f"mean margin of factual's flips:   {margin(factual, flipped):6.2f}")
+print(f"mean margin of flipped samples:   {margin[amb_flipped].mean():6.2f}")
+print(f"mean margin of factual's flips:   {margin[flipped].mean():6.2f}")
 print("  (smaller margin = closer to a boundary; ambiguity hunts the boundary)")
 
 save_dataset(factual, "train-factual.ds")

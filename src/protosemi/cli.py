@@ -14,9 +14,8 @@ import sys
 from dataclasses import astuple, fields
 
 from .data import (
+    NOISE_MODELS,
     generate_blobs,
-    inject_ambiguity_noise,
-    inject_factual_noise,
     load_dataset,
     read_lines,
     save_dataset,
@@ -69,8 +68,8 @@ def parse_config_file(path) -> PipelineConfig:
         given = {f.key: f.read(values) for f in _PROVENANCE if f.key in values}
         if "eval_split" in given and not 0.0 < given["eval_split"] < 1.0:
             raise ParameterError("eval_split must lie in (0, 1)")
-        if "noise_type" in given and given["noise_type"] not in ("factual", "ambiguity"):
-            raise ParameterError("noise_type must be factual or ambiguity")
+        if "noise_type" in given and given["noise_type"] not in NOISE_MODELS:
+            raise ParameterError(f"noise_type must be {' or '.join(NOISE_MODELS)}")
         if "noise_rate" in given and not 0.0 <= given["noise_rate"] <= 1.0:
             raise ParameterError("noise_rate must lie in [0, 1]")
         return PipelineConfig.from_fields(values)
@@ -102,10 +101,7 @@ def _cmd_gen_data(args) -> int:
         save_dataset(heldout, args.heldout_out)
         print(f"wrote {args.heldout_out}: n={heldout.n} classes={heldout.num_classes} "
               f"dim={heldout.dim} noise_rate={heldout.noise_rate():.3f}")
-    if args.noise == "factual":
-        ds = inject_factual_noise(ds, args.rate, args.seed)
-    else:
-        ds = inject_ambiguity_noise(ds, args.rate, args.seed)
+    ds = NOISE_MODELS[args.noise](ds, args.rate, args.seed)
     save_dataset(ds, args.out)
     print(f"wrote {args.out}: n={ds.n} classes={ds.num_classes} dim={ds.dim} "
           f"noise_rate={ds.noise_rate():.3f}")
@@ -169,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--dim", type=int, default=16)
     gen.add_argument("--sep", type=float, default=6.0)
     gen.add_argument("--spread", type=float, default=1.0)
-    gen.add_argument("--noise", choices=("factual", "ambiguity"), default="factual")
+    gen.add_argument("--noise", choices=NOISE_MODELS, default="factual")
     gen.add_argument("--rate", type=float, default=0.0)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="output dataset path")

@@ -3,9 +3,9 @@
 A dataset is three parallel arrays: feature vectors, the *working*
 labels the learner sees (possibly corrupted, and mutable under label
 correction), and the hidden *true* labels kept only for evaluation and
-correction statistics.  Two corruption models are provided: factual
-noise (uniformly random wrong labels on uniformly chosen samples) and
-ambiguity noise (flips concentrated on samples near class boundaries).
+correction statistics.  ``NOISE_MODELS`` names the two corruption models:
+factual noise (uniformly random wrong labels on uniformly chosen samples)
+and ambiguity noise (flips on the samples of lowest ``class_margin``).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ParameterError
-from .net import is_real, require_int, seeded_rng
+from .net import is_real, require_int, require_labels, seeded_rng
 
 DATASET_HEADER = "protosemi-dataset"
 FLOAT_FMT = "%.17g"  # 17 significant digits round-trips any float64 exactly
@@ -53,10 +53,7 @@ class NoisyDataset:
         n = self.features.shape[0]
         require_int("num_classes", self.num_classes, 2)
         for name, labels in (("working", self.working_labels), ("true", self.true_labels)):
-            if labels.shape != (n,):
-                raise ParameterError(f"{name} labels must have shape ({n},)")
-            if labels.min() < 0 or labels.max() >= self.num_classes:
-                raise ParameterError(f"{name} labels must lie in [0, {self.num_classes})")
+            require_labels(name, labels, n, self.num_classes)
         counts = np.bincount(self.true_labels, minlength=self.num_classes)
         if np.any(counts == 0):
             missing = int(np.argmin(counts))
@@ -119,19 +116,16 @@ def generate_blobs(num_classes: int, per_class: int, dim: int,
         for k in range(num_classes)
     ]
     true = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
-    return NoisyDataset(
-        features=np.vstack(blocks),
-        working_labels=true,
-        true_labels=true,
-        num_classes=num_classes,
-    )
+    return NoisyDataset(np.vstack(blocks), true, true, num_classes)
 
 
-def _require_clean(ds: NoisyDataset, rate: float) -> None:
+def _require_clean(ds: NoisyDataset, rate: float, seed: int) -> tuple[int, np.random.Generator]:
+    """Check the rate, that ``ds`` is clean, and the seed; (round(rate * n), seeded rng)."""
     if not is_real(rate) or not 0.0 <= rate <= 1.0:
         raise ParameterError(f"rate must lie in [0, 1], got {rate!r}")
     if np.any(ds.working_labels != ds.true_labels):
         raise ParameterError("noise injection requires a clean dataset (working == true)")
+    return round_half_away(rate * ds.n), seeded_rng(seed)
 
 
 def _relabeled(ds: NoisyDataset, rows: np.ndarray, labels: np.ndarray) -> NoisyDataset:
@@ -139,6 +133,22 @@ def _relabeled(ds: NoisyDataset, rows: np.ndarray, labels: np.ndarray) -> NoisyD
     working = ds.true_labels.copy()
     working[rows] = labels
     return NoisyDataset(ds.features.copy(), working, ds.true_labels, ds.num_classes)
+
+
+def class_margin(ds: NoisyDataset) -> tuple[np.ndarray, np.ndarray]:
+    """(margin, nearest other class) of each sample, from the true-label centroids.
+
+    The margin is the distance to the nearest other centroid minus that to its own,
+    so low means close to, or past, a boundary; ties go to the lowest class index.
+    """
+    centroids = np.stack([ds.features[ds.true_labels == c].mean(axis=0)
+                          for c in range(ds.num_classes)])
+    dists = np.linalg.norm(ds.features[:, None, :] - centroids[None, :, :], axis=2)
+    rows = np.arange(ds.n)
+    own = dists[rows, ds.true_labels]
+    dists[rows, ds.true_labels] = np.inf
+    nearest_other = np.argmin(dists, axis=1)
+    return dists[rows, nearest_other] - own, nearest_other
 
 
 def inject_factual_noise(ds: NoisyDataset, rate: float, seed: int) -> NoisyDataset:
@@ -149,42 +159,25 @@ def inject_factual_noise(ds: NoisyDataset, rate: float, seed: int) -> NoisyDatas
     one bulk draw, which gives the same values as one draw per flipped
     sample in ascending sample-index order.
     """
-    _require_clean(ds, rate)
-    rng = seeded_rng(seed)
-    n, k = ds.n, ds.num_classes
-    num_flips = round_half_away(rate * n)
-    chosen = np.sort(rng.choice(n, size=num_flips, replace=False))
-    offsets = rng.integers(k - 1, size=chosen.size)
+    num_flips, rng = _require_clean(ds, rate, seed)
+    chosen = np.sort(rng.choice(ds.n, size=num_flips, replace=False))
+    offsets = rng.integers(ds.num_classes - 1, size=chosen.size)
     return _relabeled(ds, chosen, offsets + (offsets >= ds.true_labels[chosen]))
 
 
 def inject_ambiguity_noise(ds: NoisyDataset, rate: float, seed: int) -> NoisyDataset:
     """Flip the round(rate * n) most boundary-ambiguous samples.
 
-    Each sample's margin is its distance to the nearest other-class
-    centroid minus the distance to its own true-class centroid
-    (centroids from true labels), so low margin means close to, or past,
-    a decision boundary.  The lowest-margin samples (ties broken by
-    sample index) are relabeled to their nearest other class.
+    The samples of lowest ``class_margin`` (ties broken by sample index)
+    are relabeled to their nearest other class.
     """
-    _require_clean(ds, rate)
-    seeded_rng(seed)  # checks the seed as every seeded function does; the flips draw nothing
-    n, k = ds.n, ds.num_classes
-    num_flips = round_half_away(rate * n)
-
-    centroids = np.stack([
-        ds.features[ds.true_labels == c].mean(axis=0) for c in range(k)
-    ])
-    dists = np.linalg.norm(ds.features[:, None, :] - centroids[None, :, :], axis=2)
-    own = dists[np.arange(n), ds.true_labels]
-    others = dists.copy()
-    others[np.arange(n), ds.true_labels] = np.inf
-    nearest_other = np.argmin(others, axis=1)  # ties -> lowest class index
-    margin = others[np.arange(n), nearest_other] - own
-
-    order = np.lexsort((np.arange(n), margin))
-    flip = order[:num_flips]
+    num_flips, _ = _require_clean(ds, rate, seed)  # the seed is checked; the flips draw nothing
+    margin, nearest_other = class_margin(ds)
+    flip = np.lexsort((np.arange(ds.n), margin))[:num_flips]
     return _relabeled(ds, flip, nearest_other[flip])
+
+
+NOISE_MODELS = {"factual": inject_factual_noise, "ambiguity": inject_ambiguity_noise}
 
 
 def split_heldout(ds: NoisyDataset, fraction: float, seed: int) -> tuple[NoisyDataset, NoisyDataset]:
@@ -205,12 +198,8 @@ def split_heldout(ds: NoisyDataset, fraction: float, seed: int) -> tuple[NoisyDa
         held_mask[rng.permutation(idx)[:take]] = True
 
     def _subset(mask: np.ndarray) -> NoisyDataset:
-        return NoisyDataset(
-            features=ds.features[mask],
-            working_labels=ds.working_labels[mask],
-            true_labels=ds.true_labels[mask],
-            num_classes=ds.num_classes,
-        )
+        return NoisyDataset(ds.features[mask], ds.working_labels[mask], ds.true_labels[mask],
+                            ds.num_classes)
 
     return _subset(~held_mask), _subset(held_mask)
 

@@ -27,6 +27,7 @@ from .net import (
     is_real,
     one_hot,
     require_int,
+    require_labels,
     softmax,
 )
 
@@ -169,8 +170,7 @@ def semi_train_epoch(net: Network, confident_view, unconfident_view,
     xu = unconfident_view
     if xl.ndim != 2 or xl.shape[0] == 0:
         raise ParameterError("confident view must be a nonempty 2-D batch")
-    if xl.shape[0] != yl.shape[0]:
-        raise ParameterError("confident features and labels must align")
+    yl = require_labels("confident", yl, xl.shape[0], net.num_classes)
 
     lr = cosine_lr(epoch, train_config.total_epochs, train_config.base_lr)
     lam_u = semi_config.lambda_u * lambda_ramp(epoch, train_config.total_epochs)

@@ -40,6 +40,16 @@ def require_int(name: str, value, low: int) -> int:
     return int(value)
 
 
+def require_labels(name: str, labels, n: int, num_classes: int) -> np.ndarray:
+    """n >= 1 integer ``labels`` in [0, num_classes) as int64, else a ParameterError."""
+    labels = np.asarray(labels)
+    if (n < 1 or labels.shape != (n,) or labels.dtype.kind not in "iu"
+            or labels.min() < 0 or labels.max() >= num_classes):
+        raise ParameterError(f"{name} labels must be one integer in [0, {num_classes}) for "
+                             f"each of n >= 1 rows, got {labels.dtype} {labels.shape} for n={n}")
+    return labels.astype(np.int64, copy=False)
+
+
 def seeded_rng(seed) -> np.random.Generator:
     """numpy's generator for ``seed``; numpy seeds only from integers >= 0."""
     return np.random.default_rng(require_int("seed", seed, 0))
@@ -263,10 +273,8 @@ def train_epoch(net: Network, features: np.ndarray, labels: np.ndarray,
     measured before each update.
     """
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
     n = features.shape[0]
-    if n == 0:
-        raise ParameterError("training view must be nonempty")
+    labels = require_labels("training", labels, n, net.num_classes)
     lr = cosine_lr(epoch_index, config.total_epochs, config.base_lr)
     perm = epoch_rng(config.seed, "shuffle", epoch_index).permutation(n)
     total_loss = 0.0

@@ -220,11 +220,15 @@ def repartition(net: Network, ds: NoisyDataset, partition: Partition,
     return Partition(confident), log
 
 
-def correction_stats(log: list[CorrectionRecord], ds: NoisyDataset) -> StatsRow:
-    """Small-circle correction quality, judged against the true labels."""
+def _require_indices(log: list[CorrectionRecord], ds: NoisyDataset) -> None:
     for r in log:
         if not 0 <= r.index < ds.n:
             raise FormatError(f"log entry references index {r.index} outside dataset of {ds.n}")
+
+
+def correction_stats(log: list[CorrectionRecord], ds: NoisyDataset) -> StatsRow:
+    """Small-circle correction quality, judged against the true labels."""
+    _require_indices(log, ds)
     small = [r for r in log if r.zone == "small"]
     corrected = [r for r in small if r.action == "corrected"]
     right = sum(1 for r in corrected if r.proto_label == ds.true_labels[r.index])
@@ -238,6 +242,7 @@ def correction_stats(log: list[CorrectionRecord], ds: NoisyDataset) -> StatsRow:
 
 def save_correction_log(log: list[CorrectionRecord], ds: NoisyDataset, path) -> None:
     """CSV export of a repartition log, one row per unconfident sample."""
+    _require_indices(log, ds)
     true = ds.true_labels.tolist()
     cells = attrgetter(*LOG_COLUMNS[:-1])
     write_lines(path, [csv_line(LOG_COLUMNS)] + [

@@ -15,6 +15,7 @@ from protosemi.data import (
     NoisyDataset,
     _parse_records_at_once,
     _parse_records_by_line,
+    class_margin,
     csv_line,
     generate_blobs,
     inject_ambiguity_noise,
@@ -201,6 +202,37 @@ class TestAmbiguityNoise:
             d = np.linalg.norm(ds.features[i] - centroids, axis=1)
             d[ds.true_labels[i]] = np.inf
             assert noisy.working_labels[i] == int(np.argmin(d))
+
+    @pytest.mark.parametrize("rate", [0.25, 0.5, 0.75, 1.0])
+    def test_flips_the_lowest_class_margins_to_their_nearest_other_class(self, rate):
+        # class 0 at x = -3 and -1 (centroid -2), class 1 at 1 and 3 (centroid 2):
+        # margins 4, 2, 2, 4, so rows 1 and 2 tie and the lower index goes first
+        features = np.array([[-3.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
+        labels = np.array([0, 0, 1, 1])
+        ds = NoisyDataset(features, labels, labels, 2)
+        margin, nearest_other = class_margin(ds)
+        assert margin.tolist() == [4.0, 2.0, 2.0, 4.0]
+        assert nearest_other.tolist() == [1, 1, 0, 0]
+        flipped = [1, 2, 0, 3][:round_half_away(rate * 4)]
+        want = labels.copy()
+        want[flipped] = nearest_other[flipped]
+        assert inject_ambiguity_noise(ds, rate, seed=0).working_labels.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("rate", [0.1, 0.3, 0.5])
+    def test_flips_what_class_margin_ranks_lowest(self, rate):
+        ds = generate_blobs(4, 40, 5, 4.0, 1.5, seed=3)
+        margin, nearest_other = class_margin(ds)
+        lowest = sorted(range(ds.n), key=lambda i: (margin[i], i))[:round_half_away(rate * ds.n)]
+        noisy = inject_ambiguity_noise(ds, rate, seed=3)
+        assert np.flatnonzero(noisy.working_labels != noisy.true_labels).tolist() == sorted(lowest)
+        assert np.array_equal(noisy.working_labels[lowest], nearest_other[lowest])
+        # the margin from one brute-force loop over samples and centroids
+        centroids = [ds.features[ds.true_labels == c].mean(axis=0) for c in range(4)]
+        for i in range(ds.n):
+            d = [np.linalg.norm(ds.features[i] - c) for c in centroids]
+            others = [d[c] if c != ds.true_labels[i] else np.inf for c in range(4)]
+            assert nearest_other[i] == int(np.argmin(others))
+            assert margin[i] == pytest.approx(min(others) - d[ds.true_labels[i]], abs=1e-12)
 
     def test_only_working_labels_change(self):
         ds = generate_blobs(3, 30, 4, 5.0, 1.0, seed=5)

@@ -392,6 +392,23 @@ class TestSemiTrainEpoch:
             semi_train_epoch(net, (np.empty((0, 4)), np.empty(0, dtype=int)),
                              np.empty((0, 4)), SemiConfig(), config, 0)
 
+    # label values one_hot would misread: -1 as the last class, 1.7 as 1, K out of range;
+    # a label count that differs from the row count was already rejected
+    @pytest.mark.parametrize("bad", [
+        lambda y: np.where(np.arange(y.size) == 0, -1, y),
+        lambda y: y + 0.7,
+        lambda y: np.where(np.arange(y.size) == 0, 2, y),
+    ], ids=["negative", "fractional", "num_classes"])
+    def test_labels_it_cannot_train_on_are_rejected(self, bad):
+        xl, yl, xu = toy_views(seed=5)
+        config = TrainConfig(base_lr=0.05, total_epochs=2, batch_size=8, seed=0)
+        net = init_network([4, 5, 2], seed=0)
+        before = copy.deepcopy(net)
+        message = r"confident labels must be one integer in \[0, 2\)"
+        with pytest.raises(ParameterError, match=message):
+            semi_train_epoch(net, (xl, bad(yl)), xu, SemiConfig(), config, 1)
+        assert params_equal(net, before)
+
     def test_epoch_out_of_range_rejected(self):
         xl, yl, xu = toy_views(seed=5)
         config = TrainConfig(base_lr=0.05, total_epochs=2, batch_size=8, seed=0)

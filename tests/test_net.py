@@ -319,6 +319,25 @@ class TestTrainEpoch:
         with pytest.raises(ParameterError):
             train_epoch(net, np.empty((0, 4)), np.empty(0, dtype=int), config, 0)
 
+    # labels one_hot would misread: one per row is required, and each an
+    # integer class index (one_hot maps -1 to the last class and 1.7 to 1)
+    @pytest.mark.parametrize("bad", [
+        lambda y: np.concatenate([y, y[:2]]),
+        lambda y: y[:5],
+        lambda y: np.where(np.arange(y.size) == 0, -1, y),
+        lambda y: y + 0.7,
+        lambda y: np.where(np.arange(y.size) == 0, 2, y),
+    ], ids=["more_than_rows", "fewer_than_rows", "negative", "fractional", "num_classes"])
+    def test_labels_it_cannot_train_on_are_rejected(self, bad):
+        features, labels = self._toy()
+        net = init_network([4, 5, 2], seed=0)
+        before = copy.deepcopy(net)
+        config = TrainConfig(base_lr=0.1, total_epochs=1, batch_size=8, seed=0)
+        message = r"training labels must be one integer in \[0, 2\)"
+        with pytest.raises(ParameterError, match=message):
+            train_epoch(net, features, bad(labels), config, 0)
+        assert params_equal(net, before)
+
     def test_epoch_index_bounds(self):
         features, labels = self._toy()
         net = init_network([4, 5, 2], seed=0)

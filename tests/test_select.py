@@ -530,6 +530,17 @@ class TestCorrectionStats:
 
 
 class TestCorrectionLogCsv:
+    @pytest.mark.parametrize("index", [-1, 2])  # before the first row, past the last
+    def test_save_writes_no_line_for_an_index_outside_the_dataset(self, tmp_path, index):
+        ds = NoisyDataset(np.zeros((2, 2)), np.array([0, 1]), np.array([0, 1]), 2)
+        log = [CorrectionRecord(0, 0.99, 1, 0, "small", "corrected", 1.0),
+               CorrectionRecord(index, 0.99, 0, 1, "small", "corrected", 1.0)]
+        path = tmp_path / "log.csv"
+        with pytest.raises(FormatError) as info:
+            save_correction_log(log, ds, path)
+        assert str(info.value) == f"log entry references index {index} outside dataset of 2"
+        assert not path.exists()
+
     def test_round_trip(self, tmp_path):
         net, ds = small_noisy_setup(seed=45)
         part = split_by_agreement(net, ds)

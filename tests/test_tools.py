@@ -11,6 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import load_tool
+from protosemi import data
+from protosemi.cli import main, parse_config_file
+from protosemi.errors import FormatError
+
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
 SWEEP = SCRIPT.with_name("sweep.py")
 
@@ -158,3 +163,34 @@ def test_sweep_writes_its_closing_line_to_out(tmp_path):
     assert set(closing["env"]) == {"numpy", "openblas_kernel", "nproc"}
     assert [(c["n"], c["noise"], c["variant"], c["runs"]) for c in closing["cells"]] == [
         (1600, "factual", "full", 1), (1600, "factual", "no_repar", 1)]
+
+
+def test_a_noise_model_added_to_the_table_reaches_gen_data_configs_and_the_sweep(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(data.NOISE_MODELS, "copy", data.inject_factual_noise)
+    # gen-data takes its choices and its injector from the table
+    for noise in ("copy", "factual"):
+        assert main(["gen-data", "--per-class", "10", "--rate", "0.3", "--noise", noise,
+                     "--out", str(tmp_path / f"{noise}.ds")]) == 0
+    assert (tmp_path / "copy.ds").read_bytes() == (tmp_path / "factual.ds").read_bytes()
+    # a config's noise_type is checked against it, and the message lists it
+    recipe = SCRIPT.parents[1] / "configs" / "benchmark.cfg"
+    for noise in ("copy", "adversarial"):
+        (tmp_path / f"{noise}.cfg").write_text(
+            recipe.read_text().replace("noise_type=factual", f"noise_type={noise}"))
+    assert parse_config_file(tmp_path / "copy.cfg") == parse_config_file(recipe)
+    with pytest.raises(FormatError, match="noise_type must be factual or ambiguity or copy"):
+        parse_config_file(tmp_path / "adversarial.cfg")
+    # the sweep checks --noise against it once protosemi is imported, then sweeps
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # the sweep sets these; teardown restores them
+    monkeypatch.syspath_prepend(str(SWEEP.parent))  # restores sys.path after, too
+    sweep = load_tool("sweep")
+    with pytest.raises(SystemExit) as info:
+        sweep.main(["--noise", "adversarial", "--sizes", "1600", "--seeds", "0"])
+    assert info.value.code == 2
+    assert "choose from factual, ambiguity, copy" in capsys.readouterr().err
+    assert sweep.main(["--noise", "copy", "--sizes", "1600", "--seeds", "0"]) == 0
+    cells = json.loads(capsys.readouterr().out.splitlines()[-1])["cells"]
+    assert [(c["noise"], c["variant"], c["runs"]) for c in cells] == [
+        ("copy", "full", 1), ("copy", "no_repar", 1)]

@@ -5,9 +5,10 @@
 In OUTDIR (created; it must not hold files), with BLAS pinned to one
 thread, this runs the CLI of the checkout it lives in:
 
-- ``gen-data --rate 0.3`` at ``--per-class 500`` with seeds 0, 5 and 7,
-  and at ``--per-class 3125`` with seeds 1, 2 and 3 (``--inputs N``
-  keeps the first N of these);
+- ``gen-data --rate 0.3`` with factual noise at ``--per-class 500`` with
+  seeds 0, 5 and 7 and at ``--per-class 3125`` with seeds 1, 2 and 3,
+  then with ``--noise ambiguity`` at ``--per-class 500`` with seed 0
+  (``--inputs N`` keeps the first N of these seven);
 - on each dataset, ``train --variant full --config configs/benchmark.cfg``
   and ``train --variant no_semi --config perfbench/configs/supervised.cfg``,
   both with ``--export-embeddings``;
@@ -37,7 +38,11 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-INPUTS = ((500, 0), (500, 5), (500, 7), (3125, 1), (3125, 2), (3125, 3))
+# (per class, seed, noise); a dataset is named p<per class>-s<seed>, plus
+# -<noise> for a noise model other than the default, factual
+INPUTS = ((500, 0, "factual"), (500, 5, "factual"), (500, 7, "factual"),
+          (3125, 1, "factual"), (3125, 2, "factual"), (3125, 3, "factual"),
+          (500, 0, "ambiguity"))
 RUNS = (("full", ROOT / "configs" / "benchmark.cfg"),
         ("no_semi", ROOT / "perfbench" / "configs" / "supervised.cfg"))
 
@@ -67,11 +72,12 @@ def digest_outputs(inputs: int) -> list:
     lines = []
     for variant, config in RUNS:
         shutil.copyfile(config, f"{variant}.cfg")
-    for per_class, seed in INPUTS[:inputs]:
-        data = f"p{per_class}-s{seed}"
+    for per_class, seed, noise in INPUTS[:inputs]:
+        data = f"p{per_class}-s{seed}" + ("" if noise == "factual" else f"-{noise}")
         run_cli(main, f"gen-data.{data}", [
             "gen-data", "--per-class", str(per_class), "--rate", "0.3", "--seed", str(seed),
-            "--out", f"{data}.ds", "--heldout-out", f"{data}.heldout.ds"], lines)
+            "--noise", noise, "--out", f"{data}.ds", "--heldout-out", f"{data}.heldout.ds"],
+            lines)
         for variant, _ in RUNS:
             run = f"{data}.{variant}"
             run_cli(main, f"train.{run}", [

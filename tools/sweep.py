@@ -9,9 +9,9 @@ training rows), and trains variants ``full`` and ``no_repar`` on it with
 ``configs/benchmark.cfg`` and ``seed`` set to the data seed, in this
 process, with BLAS pinned to one thread.
 
-Defaults: sizes 1600 (seeds 0-99) and 10000 (seeds 1-8), both noise
-types.  ``--seeds`` (e.g. ``0-99`` or ``4,5``) replaces the seeds of
-every size.
+Defaults: sizes 1600 (seeds 0-99) and 10000 (seeds 1-8), every noise
+type of ``protosemi.data.NOISE_MODELS``.  ``--seeds`` (e.g. ``0-99`` or
+``4,5``) replaces the seeds of every size.
 
 It prints one row per (size, noise, variant) cell: the runs, the runs
 that abort (exit code 3 from ``protosemi train``), the runs that finish
@@ -97,16 +97,10 @@ def environment() -> dict:
 
 def sweep(sizes, noises, seeds) -> list:
     from protosemi.cli import parse_config_file
-    from protosemi.data import (
-        generate_blobs,
-        inject_ambiguity_noise,
-        inject_factual_noise,
-        split_heldout,
-    )
+    from protosemi.data import NOISE_MODELS, generate_blobs, split_heldout
     from protosemi.errors import DegenerateClassError, DegenerateGeometryError
     from protosemi.pipeline import run_with_artifacts
 
-    inject = {"factual": inject_factual_noise, "ambiguity": inject_ambiguity_noise}
     config = parse_config_file(CONFIG)
     print(f"{'n':<7}{'noise':<11}{'variant':<10}{'runs':>5}{'exit3':>7}"
           f"{'below_0.90':>12}{'median_final':>14}{'mean_final':>12}"
@@ -118,7 +112,7 @@ def sweep(sizes, noises, seeds) -> list:
             for seed in DEFAULT_SEEDS[n] if seeds is None else seeds:
                 clean = generate_blobs(4, 5 * n // 16, 16, 6.0, 1.0, seed)
                 train, heldout = split_heldout(clean, 0.2, seed)
-                train = inject[noise](train, 0.3, seed)
+                train = NOISE_MODELS[noise](train, 0.3, seed)
                 seeded = dataclasses.replace(config, seed=seed)
                 for variant in VARIANTS:
                     try:
@@ -137,8 +131,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=training_rows, nargs="+", default=list(DEFAULT_SEEDS),
                         metavar="N", help="training rows per dataset")
-    parser.add_argument("--noise", nargs="+", choices=("factual", "ambiguity"),
-                        default=["factual", "ambiguity"])
+    parser.add_argument("--noise", nargs="+", metavar="TYPE")
     parser.add_argument("--seeds", type=parse_seeds, default=None, metavar="LIST",
                         help="data seeds for every size, e.g. 0-99 or 4,5")
     parser.add_argument("--out", type=Path, default=None, metavar="PATH",
@@ -151,9 +144,14 @@ def main(argv=None) -> int:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path.insert(0, str(ROOT / "src"))
+    from protosemi.data import NOISE_MODELS
+
+    noises = args.noise or list(NOISE_MODELS)
+    if not set(noises) <= NOISE_MODELS.keys():
+        parser.error(f"argument --noise: choose from {', '.join(NOISE_MODELS)}")
     env = environment()
     print("env " + " ".join(f"{key}={value}" for key, value in env.items()), flush=True)
-    cells = sweep(args.sizes, args.noise, args.seeds)
+    cells = sweep(args.sizes, noises, args.seeds)
     closing = json.dumps({"env": env, "cells": cells})
     print(closing)
     if args.out is not None:
