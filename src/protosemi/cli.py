@@ -27,6 +27,7 @@ from .errors import (
     FormatError,
     ParameterError,
 )
+from .net import require_int, require_real
 from .pipeline import (
     CONFIG_FIELDS,
     ConfigField,
@@ -40,8 +41,8 @@ from .pipeline import (
 )
 from .select import StatsRow, correction_stats, load_correction_log, save_correction_log
 
-# provenance of the matching dataset: checked for well-formedness, never
-# passed to training
+# provenance of the matching dataset: checked as gen-data checks the flags it
+# records, never passed to training
 _PROVENANCE = (ConfigField("eval_split", float), ConfigField("noise_type", str),
                ConfigField("noise_rate", float), ConfigField("noise_seed", int))
 
@@ -66,12 +67,13 @@ def parse_config_file(path) -> PipelineConfig:
         values[key], linenos[key] = value, lineno
     with naming_key_lines(path, linenos):
         given = {f.key: f.read(values) for f in _PROVENANCE if f.key in values}
-        if "eval_split" in given and not 0.0 < given["eval_split"] < 1.0:
-            raise ParameterError("eval_split must lie in (0, 1)")
         if "noise_type" in given and given["noise_type"] not in NOISE_MODELS:
             raise ParameterError(f"noise_type must be {' or '.join(NOISE_MODELS)}")
-        if "noise_rate" in given and not 0.0 <= given["noise_rate"] <= 1.0:
-            raise ParameterError("noise_rate must lie in [0, 1]")
+        for key, bounds in (("eval_split", "()"), ("noise_rate", "[]")):
+            if key in given:
+                require_real(key, given[key], 0, 1, bounds)
+        if "noise_seed" in given:
+            require_int("noise_seed", given["noise_seed"], 0)
         return PipelineConfig.from_fields(values)
 
 

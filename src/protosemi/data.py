@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ParameterError
-from .net import is_real, require_int, require_labels, seeded_rng
+from .net import require_int, require_labels, require_real, seeded_rng
 
 DATASET_HEADER = "protosemi-dataset"
 FLOAT_FMT = "%.17g"  # 17 significant digits round-trips any float64 exactly
@@ -42,18 +42,16 @@ class NoisyDataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        # copies: a correction writes working labels in place, and must
-        # reach neither the true labels nor the caller's array
-        self.working_labels = np.array(self.working_labels, dtype=np.int64)
-        self.true_labels = np.array(self.true_labels, dtype=np.int64)
         if self.features.ndim != 2 or self.features.shape[0] < 1 or self.features.shape[1] < 1:
             raise ParameterError("features must be a nonempty (n, dim) array")
         if not np.all(np.isfinite(self.features)):
             raise ParameterError("features must be finite")
-        n = self.features.shape[0]
         require_int("num_classes", self.num_classes, 2)
-        for name, labels in (("working", self.working_labels), ("true", self.true_labels)):
-            require_labels(name, labels, n, self.num_classes)
+        # checked as given, so no float or bool label is truncated; copied, so a correction
+        # written in place reaches neither the true labels nor the caller's array
+        n, k = self.n, self.num_classes
+        self.working_labels = require_labels("working", self.working_labels, n, k).copy()
+        self.true_labels = require_labels("true", self.true_labels, n, k).copy()
         counts = np.bincount(self.true_labels, minlength=self.num_classes)
         if np.any(counts == 0):
             missing = int(np.argmin(counts))
@@ -88,9 +86,8 @@ def generate_blobs(num_classes: int, per_class: int, dim: int,
     for name, value, low in (("num_classes", num_classes, 2), ("per_class", per_class, 1),
                              ("dim", dim, 2)):
         require_int(name, value, low)
-    for name, value in (("separation", separation), ("spread", spread)):
-        if not is_real(value) or not 0 < value < math.inf:
-            raise ParameterError(f"{name} must be finite and positive, got {value!r}")
+    require_real("separation", separation, 0, math.inf, "()")
+    require_real("spread", spread, 0, math.inf, "()")
 
     rng = seeded_rng(seed)
     directions: list[np.ndarray] = []
@@ -121,8 +118,7 @@ def generate_blobs(num_classes: int, per_class: int, dim: int,
 
 def _require_clean(ds: NoisyDataset, rate: float, seed: int) -> tuple[int, np.random.Generator]:
     """Check the rate, that ``ds`` is clean, and the seed; (round(rate * n), seeded rng)."""
-    if not is_real(rate) or not 0.0 <= rate <= 1.0:
-        raise ParameterError(f"rate must lie in [0, 1], got {rate!r}")
+    require_real("rate", rate, 0, 1, "[]")
     if np.any(ds.working_labels != ds.true_labels):
         raise ParameterError("noise injection requires a clean dataset (working == true)")
     return round_half_away(rate * ds.n), seeded_rng(seed)
@@ -186,8 +182,7 @@ def split_heldout(ds: NoisyDataset, fraction: float, seed: int) -> tuple[NoisyDa
     Every class keeps at least one sample on each side, so both halves
     remain valid datasets.
     """
-    if not is_real(fraction) or not 0.0 < fraction < 1.0:
-        raise ParameterError(f"fraction must lie strictly between 0 and 1, got {fraction!r}")
+    require_real("fraction", fraction, 0, 1, "()")
     rng = seeded_rng(seed)
     held_mask = np.zeros(ds.n, dtype=bool)
     for c in range(ds.num_classes):

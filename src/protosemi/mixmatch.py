@@ -24,10 +24,10 @@ from .net import (
     cosine_lr,
     cross_entropy_grads,
     epoch_rng,
-    is_real,
     one_hot,
     require_int,
     require_labels,
+    require_real,
     softmax,
 )
 
@@ -43,14 +43,9 @@ class SemiConfig:
 
     def __post_init__(self):
         require_int("k_aug", self.k_aug, 1)
-        if not is_real(self.temperature) or not 0 < self.temperature < np.inf:
-            raise ParameterError(f"temperature must be finite and positive, got {self.temperature}")
-        if not is_real(self.mix_alpha) or not 0 < self.mix_alpha < np.inf:
-            raise ParameterError(f"mix_alpha must be finite and positive, got {self.mix_alpha}")
-        if not is_real(self.lambda_u) or not 0 <= self.lambda_u < np.inf:
-            raise ParameterError(f"lambda_u must be finite and nonnegative, got {self.lambda_u}")
-        if not is_real(self.aug_sigma) or not 0 <= self.aug_sigma < np.inf:
-            raise ParameterError(f"aug_sigma must be finite and nonnegative, got {self.aug_sigma}")
+        for name, bounds in (("temperature", "()"), ("mix_alpha", "()"),
+                             ("lambda_u", "[)"), ("aug_sigma", "[)")):
+            require_real(name, getattr(self, name), 0, np.inf, bounds)
 
 
 def augment(x: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:

@@ -40,6 +40,15 @@ def require_int(name: str, value, low: int) -> int:
     return int(value)
 
 
+def require_real(name: str, value, low: float, high: float, bounds: str) -> None:
+    """A ParameterError unless ``value`` is a finite number in the interval ``bounds`` spells."""
+    if not (is_real(value) and -math.inf < value < math.inf
+            and (low < value if bounds[0] == "(" else low <= value)
+            and (value < high if bounds[1] == ")" else value <= high)):
+        raise ParameterError(f"{name} must be finite and lie in "
+                             f"{bounds[0]}{low}, {high}{bounds[1]}, got {value!r}")
+
+
 def require_labels(name: str, labels, n: int, num_classes: int) -> np.ndarray:
     """n >= 1 integer ``labels`` in [0, num_classes) as int64, else a ParameterError."""
     labels = np.asarray(labels)
@@ -69,10 +78,8 @@ class TrainConfig:
         # numpy seeds its generators only from nonnegative integers
         for name, low in (("total_epochs", 1), ("batch_size", 1), ("seed", 0)):
             object.__setattr__(self, name, require_int(name, getattr(self, name), low))
-        if not is_real(self.base_lr) or not 0 <= self.base_lr < math.inf:
-            raise ParameterError("base_lr must be finite and nonnegative")
-        if not is_real(self.weight_decay) or not 0 <= self.weight_decay < math.inf:
-            raise ParameterError("weight_decay must be finite and nonnegative")
+        for name in ("base_lr", "weight_decay"):
+            require_real(name, getattr(self, name), 0, math.inf, "[)")
 
 
 class Network:

@@ -283,6 +283,14 @@ def load_correction_log(path, ds: NoisyDataset) -> list[CorrectionRecord]:
             raise FormatError(f"{where}: zone {rec.zone} cannot take action {rec.action}")
         if not (0.0 <= rec.p_correct <= 1.0 and -1.0 <= rec.d_max <= 1.0):
             raise FormatError(f"{where}: p_correct or d_max out of range")
+        if not (0 <= rec.proto_label < ds.num_classes and 0 <= rec.prior_label < ds.num_classes):
+            raise FormatError(f"{where}: proto_label or prior_label outside [0, {ds.num_classes})")
+        # p_correct is 1.0 in the small circle and 0.0 outside it; a ring row is
+        # corrected only when a draw in [0, 1) falls below its p_correct
+        if rec.zone != "ring" and rec.p_correct != (1.0 if rec.zone == "small" else 0.0):
+            raise FormatError(f"{where}: {rec.zone} row with p_correct {rec.p_correct}")
+        if (rec.zone, rec.action) == ("ring", "corrected") and rec.p_correct == 0.0:
+            raise FormatError(f"{where}: ring row corrected with p_correct 0.0")
         # repartition corrects exactly when the labels differ, except
         # in the ring, where a differing label may also be retained
         if rec.action == "corrected" and rec.proto_label == rec.prior_label:

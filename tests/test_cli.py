@@ -116,7 +116,8 @@ class TestGenData:
         code = main(["gen-data", "--classes", "3", "--per-class", "10", flag, "inf",
                      "--out", str(out)])
         assert code == 2
-        assert capsys.readouterr().err == f"error: {name} must be finite and positive, got inf\n"
+        assert capsys.readouterr().err == (
+            f"error: {name} must be finite and lie in (0, inf), got inf\n")
         assert not out.exists()
 
     def test_heldout_out_naming_the_out_file_exits_two(self, tmp_path, capsys):
@@ -349,6 +350,17 @@ class TestTrain:
                      "--data", str(train), "--heldout", str(heldout), "--report", str(report)])
         assert code == 2
         assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_negative_noise_seed_exits_two(self, dataset_files, tmp_path, capsys):
+        # gen-data --seed -3 exits 2, so no dataset can record noise_seed=-3
+        train, heldout = dataset_files
+        config, report = write_config(tmp_path / "run.cfg", noise_seed="-3"), tmp_path / "r"
+        code = main(["train", "--config", str(config), "--data", str(train),
+                     "--heldout", str(heldout), "--report", str(report)])
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: {config} line {len(CONFIG_DEFAULTS) + 2}: "
+                                           "noise_seed must be an integer >= 0, got -3\n")
         assert not report.exists()
 
     @staticmethod
@@ -595,8 +607,10 @@ class TestStats:
         ("4,0.95,2,2,small,corrected,1.0,1", "line 5: corrected row keeps its label 2"),
         ("4,0.95,0,2,small,retained,1.0,1", "line 5: small-circle row retains"),
         ("99999999,0.1,0,2,outside,unmoved,0.0,1", "index 99999999 outside dataset of 12"),
+        # no class 9 among k=3: stats would count this as a wrong correction
+        ("4,0.95,9,2,small,corrected,1.0,1", "line 5: proto_label or prior_label outside [0, 3)"),
     ], ids=["repeated-index", "corrected-keeps-label", "small-retains-differing",
-            "outside-index-out-of-range"])
+            "outside-index-out-of-range", "proto-label-out-of-range"])
     def test_impossible_log_row_exits_two(self, tmp_path, capsys, row, message):
         ds = three_class_dataset()
         log = synthetic_small_circle_log(ds, corrected=3, right=2)

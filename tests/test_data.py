@@ -128,7 +128,7 @@ class TestFactualNoise:
         with pytest.raises(ParameterError):
             inject_factual_noise(ds, -0.1, seed=0)
         for rate in (True, "0.5", None):  # True would flip every label
-            with pytest.raises(ParameterError, match="rate must lie in"):
+            with pytest.raises(ParameterError, match="rate must be finite and lie in"):
                 inject_factual_noise(ds, rate, seed=0)
 
     def test_requires_clean_input(self):
@@ -244,7 +244,7 @@ class TestAmbiguityNoise:
         ds = generate_blobs(2, 5, 3, 4.0, 1.0, seed=0)
         with pytest.raises(ParameterError):
             inject_ambiguity_noise(ds, 1.0001, seed=0)
-        with pytest.raises(ParameterError, match="rate must lie in"):
+        with pytest.raises(ParameterError, match="rate must be finite and lie in"):
             inject_ambiguity_noise(ds, True, seed=0)
 
 
@@ -300,6 +300,13 @@ class TestDatasetValidation:
     def test_rejects_out_of_range_labels(self):
         with pytest.raises(ParameterError):
             NoisyDataset(np.zeros((2, 2)), np.array([0, 2]), np.array([0, 1]), num_classes=2)
+
+    @pytest.mark.parametrize("labels", [[0.5, 1.7], [True, False]], ids=["float", "bool"])
+    def test_rejects_labels_that_are_not_integers(self, labels):
+        # checked before the int64 copy, which would truncate them to [0, 1] and [1, 0]
+        for working, true in ((labels, [0, 1]), ([0, 1], labels)):
+            with pytest.raises(ParameterError, match="labels must be one integer"):
+                NoisyDataset(np.zeros((2, 2)), np.array(working), np.array(true), 2)
 
     def test_label_arrays_are_not_shared(self):
         y = np.array([0, 1, 1, 0])

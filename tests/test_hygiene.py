@@ -4,9 +4,10 @@ Checked: the package, the tests and the demos.  The package root is
 exempt, since its imports are its re-exports.  Also checked: the text
 rule of every file the package writes stays in ``data.write_lines`` (no
 other function of the package opens a file to write, and no module
-imports ``csv``), every rng of the package is built in ``net.py``, no
-training code names a true label, and the test settings let the session
-go on past a failing property test.
+imports ``csv``), every rng of the package is built in ``net.py``, every
+range check of a real value is ``net.require_real``, no training code
+names a true label, and the test settings let the session go on past a
+failing property test.
 """
 
 import ast
@@ -100,6 +101,44 @@ def test_only_net_builds_generators(module):
     # one table of rng streams: every seeded generator comes from net.py
     calls = calls_default_rng(module.read_text())
     assert bool(calls) == (module.name == "net.py")
+
+
+def is_real_scopes(source: str) -> list:
+    """The qualified name of the class or function around each use of ``is_real``."""
+    scopes = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and child.id == "is_real" \
+                    or isinstance(child, ast.Attribute) and child.attr == "is_real":
+                scopes.append(scope)
+            inner = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+            visit(child, f"{scope}.{child.name}".lstrip(".") if inner else scope)
+
+    visit(ast.parse(source), "")
+    return scopes
+
+
+def test_detects_an_is_real_use():
+    source = ("x = is_real(1)\n"
+              "class A:\n"
+              "    def f(self, v):\n"
+              "        return net.is_real(v) and all(map(is_real, v))\n"
+              "def g(v):\n"
+              "    def h():\n"
+              "        return is_real(v)\n")
+    assert is_real_scopes(source) == ["", "A.f", "A.f", "g.h"]
+
+
+# the type checks that are no range check: a config field's type, and a rule over two keys
+_IS_REAL_USERS = {"pipeline.py": {"ConfigField.normal"}, "select.py": {"Thresholds.__post_init__"}}
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_real_ranges_are_checked_in_net(module):
+    # one range check of real values: net.require_real
+    if module.name != "net.py":
+        assert set(is_real_scopes(module.read_text())) <= _IS_REAL_USERS.get(module.name, set())
 
 
 @pytest.mark.parametrize("module", MODULES + [PACKAGE / "__init__.py"], ids=lambda p: p.name)

@@ -2,6 +2,8 @@
 
 import copy
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import one_blas_thread, params_equal
-from protosemi.errors import ParameterError
+from protosemi.cli import parse_config_file
+from protosemi.data import generate_blobs, inject_factual_noise, split_heldout
+from protosemi.errors import FormatError, ParameterError
+from protosemi.mixmatch import SemiConfig
 from protosemi.net import (
     FORWARD_BLOCK_ROWS,
     Network,
@@ -21,6 +26,8 @@ from protosemi.net import (
     softmax,
     train_epoch,
 )
+
+REPO = Path(__file__).resolve().parent.parent
 
 # frozen oracle values (see notes on derivation: direct formula evaluation)
 CE_LOGITS_1_2_LABEL_0 = 1.3132616875182228  # log(e^1 + e^2) - 1 = log1p(e)
@@ -370,6 +377,69 @@ class TestTrainConfig:
                              seed=np.uint8(3))
         assert (config.total_epochs, config.batch_size, config.seed) == (2, 4, 3)
         assert all(type(v) is int for v in (config.total_epochs, config.batch_size, config.seed))
+
+
+def _config_line_1(key):
+    """A check that parses the benchmark config with ``key`` set on line 1 to a value's repr."""
+    def parse(value, tmp_path):
+        rest = [line for line in (REPO / "configs" / "benchmark.cfg").read_text().splitlines()
+                if not line.startswith(f"{key}=")]
+        (tmp_path / "run.cfg").write_text("\n".join([f"{key}={value!r}", *rest]) + "\n")
+        parse_config_file(tmp_path / "run.cfg")
+    return parse
+
+
+_CLEAN = generate_blobs(2, 5, 3, 4.0, 1.0, seed=0)
+
+# every call site of require_real: (check of a value, low, high, bounds), by parameter
+REAL_SITES = {
+    "separation": (lambda v, _: generate_blobs(2, 3, 2, v, 1.0, 0), 0, math.inf, "()"),
+    "spread": (lambda v, _: generate_blobs(2, 3, 2, 1.0, v, 0), 0, math.inf, "()"),
+    "rate": (lambda v, _: inject_factual_noise(_CLEAN, v, 0), 0, 1, "[]"),
+    "fraction": (lambda v, _: split_heldout(_CLEAN, v, 0), 0, 1, "()"),
+    "base_lr": (lambda v, _: TrainConfig(v, 1, 1), 0, math.inf, "[)"),
+    "weight_decay": (lambda v, _: TrainConfig(0.1, 1, 1, weight_decay=v), 0, math.inf, "[)"),
+    "temperature": (lambda v, _: SemiConfig(temperature=v), 0, math.inf, "()"),
+    "mix_alpha": (lambda v, _: SemiConfig(mix_alpha=v), 0, math.inf, "()"),
+    "lambda_u": (lambda v, _: SemiConfig(lambda_u=v), 0, math.inf, "[)"),
+    "aug_sigma": (lambda v, _: SemiConfig(aug_sigma=v), 0, math.inf, "[)"),
+    "eval_split": (_config_line_1("eval_split"), 0, 1, "()"),
+    "noise_rate": (_config_line_1("noise_rate"), 0, 1, "[]"),
+}
+
+
+def _just_past(low, high, bounds) -> list:
+    """The nearest values outside each finite end of the interval."""
+    past = [low if bounds[0] == "(" else math.nextafter(low, -math.inf)]
+    if high < math.inf:
+        past.append(high if bounds[1] == ")" else math.nextafter(high, math.inf))
+    return past
+
+
+@pytest.mark.parametrize("name, value", [
+    (name, value) for name, (_, *interval) in REAL_SITES.items()
+    for value in [math.nan, math.inf, -math.inf, True, "0.5", *_just_past(*interval)]
+])
+def test_every_real_parameter_rejects_what_lies_outside_its_interval(tmp_path, name, value):
+    check, low, high, bounds = REAL_SITES[name]
+    with pytest.raises((ParameterError, FormatError)) as info:
+        check(value, tmp_path)
+    message = str(info.value)
+    if isinstance(info.value, FormatError):  # a config key: the error names its line
+        assert message.startswith(f"{tmp_path / 'run.cfg'} line 1: ")
+    assert re.search(rf"\b{name}\b", message)
+    if not isinstance(value, (bool, str)):  # a config reads a bool or a quoted string as text
+        assert f"{name} must be finite and lie in {bounds[0]}{low}, {high}{bounds[1]}, got " \
+            in message
+
+
+@pytest.mark.parametrize("name, value", [
+    (name, float(end)) for name, (_, low, high, bounds) in REAL_SITES.items()
+    for end, closed in ((low, bounds[0] == "["), (high, bounds[1] == "]")) if closed
+])
+def test_every_closed_end_is_accepted(tmp_path, name, value):
+    check, *_ = REAL_SITES[name]
+    check(value, tmp_path)
 
 
 @settings(max_examples=25, deadline=None)

@@ -641,6 +641,25 @@ class TestCorrectionLogCsv:
         with pytest.raises(FormatError, match="line 3:"):
             load_correction_log(path, self._DS)
 
+    @pytest.mark.parametrize("row, message", [
+        ("0,0.99,9,0,small,corrected,1.0,0", "proto_label or prior_label outside [0, 2)"),
+        ("2,0.5,-4,0,ring,corrected,0.5,0", "proto_label or prior_label outside [0, 2)"),
+        ("0,0.99,1,5,small,corrected,1.0,0", "proto_label or prior_label outside [0, 2)"),
+        # repartition logs p_correct 1.0 in the small circle and 0.0 outside it
+        ("1,0.99,0,1,small,corrected,0.5,1", "small row with p_correct 0.5"),
+        ("0,0.1,1,0,outside,unmoved,0.7,0", "outside row with p_correct 0.7"),
+        # a draw in [0, 1) never falls below 0.0
+        ("2,0.6,1,0,ring,corrected,0.0,0", "ring row corrected with p_correct 0.0"),
+    ], ids=["proto-label-9", "proto-label-negative", "prior-label-5", "small-p-0.5",
+            "outside-p-0.7", "ring-corrected-p-0"])
+    def test_row_repartition_cannot_write_rejected(self, tmp_path, row, message):
+        path = tmp_path / "log.csv"
+        path.write_text(",".join(LOG_COLUMNS) + "\n" + row + "\n")
+        ds = NoisyDataset(np.zeros((3, 2)), [0, 1, 0], [0, 1, 0], 2)
+        with pytest.raises(FormatError) as info:
+            load_correction_log(path, ds)
+        assert str(info.value) == f"{path} line 2: {message}"
+
     def test_unparsable_number_rejected(self, tmp_path):
         path = tmp_path / "log.csv"
         path.write_text(
