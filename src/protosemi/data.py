@@ -11,8 +11,8 @@ and ambiguity noise (flips on the samples of lowest ``class_margin``).
 from __future__ import annotations
 
 import math
+import os
 import re
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +21,6 @@ from .errors import FormatError, ParameterError
 from .net import require_int, require_labels, require_real, seeded_rng
 
 DATASET_HEADER = "protosemi-dataset"
-FLOAT_FMT = "%.17g"  # 17 significant digits round-trips any float64 exactly
 
 
 def round_half_away(x: float) -> int:
@@ -199,28 +198,22 @@ def split_heldout(ds: NoisyDataset, fraction: float, seed: int) -> tuple[NoisyDa
     return _subset(~held_mask), _subset(held_mask)
 
 
-_SAVE_BLOCK_ROWS = 512
+# .npy format 1.0, and the (name, dtype) of each record after a v2 header line
+_NPY_MAGIC = b"\x93NUMPY\x01\x00"
+_RECORDS = (("features", "<f8"), ("working label", "<i8"), ("true label", "<i8"))
 
 
 def save_dataset(ds: NoisyDataset, path) -> None:
-    """Write the line-oriented text format; see ``load_dataset``.
+    """Write ``protosemi-dataset v2``: the header line, then one ``.npy`` record per array.
 
-    The bytes are those of ``np.savetxt`` with ``FLOAT_FMT``, rendered
-    one block of rows per ``%`` call instead of one row per call, and
-    handed to ``write_lines`` as one line per block.  Blocks keep the
-    Python floats and text held at once small.
+    See ``load_dataset``.  The features go out as ``<f8`` in C order and
+    the labels as ``<i8``, so every value reads back bit for bit.
     """
-    # %.17g prints the integer-valued label columns as bare integers
-    table = np.column_stack([ds.features, ds.working_labels, ds.true_labels])
-    row = " ".join([FLOAT_FMT] * table.shape[1])
-
-    def lines():
-        yield f"{DATASET_HEADER} v1 n={ds.n} d={ds.dim} k={ds.num_classes}"
-        for start in range(0, ds.n, _SAVE_BLOCK_ROWS):
-            block = table[start:start + _SAVE_BLOCK_ROWS]
-            yield "\n".join([row] * len(block)) % tuple(block.ravel().tolist())
-
-    write_lines(path, lines())
+    with open(path, "wb") as fh:
+        fh.write(f"{DATASET_HEADER} v2 n={ds.n} d={ds.dim} k={ds.num_classes}\n".encode("ascii"))
+        for array, (_, dtype) in zip((ds.features, ds.working_labels, ds.true_labels), _RECORDS):
+            np.lib.format.write_array(fh, np.ascontiguousarray(array, dtype), version=(1, 0),
+                                      allow_pickle=False)
 
 
 def _header_field(path, token: str, key: str) -> int:
@@ -302,72 +295,74 @@ def _line_count(path) -> int:
     return last
 
 
-def _parse_header(path, line: str, records: int) -> tuple[int, int, int]:
-    """(n, d, k) from the first line of file ``path`` with ``records`` lines after it."""
+def _parse_header(path, line: str, version: str) -> tuple[int, int, int]:
+    """(n, d, k) from the first line of file ``path``, a dataset of format ``version``."""
     header = line.split()
-    if len(header) != 5 or header[0] != DATASET_HEADER or header[1] != "v1":
+    if len(header) != 5 or header[0] != DATASET_HEADER or header[1] != version:
         raise FormatError(f"{path} line 1: bad header {line!r}")
     n, d, k = (_header_field(path, token, key) for token, key in zip(header[2:], "ndk"))
     if n < 1 or d < 1 or k < 2:
         raise FormatError(f"{path} line 1: header sizes out of range (n={n} d={d} k={k})")
-    if records != n:
-        raise FormatError(f"{path}: expected {n} records, found {records}")
     return n, d, k
 
 
 def load_dataset(path) -> NoisyDataset:
-    """Read a dataset file.
+    """Read a dataset file of either format; its first line names which.
 
-    Format: header ``protosemi-dataset v1 n=<n> d=<D> k=<K>`` followed by
-    n records of D floats, the working label, and the true label, all
-    whitespace separated; trailing blank lines are ignored.  A malformed
-    file is a :class:`FormatError` naming its line.  One scan checks the
-    bytes (see ``read_lines``) and counts the lines; the file then streams
-    into one array pass, and the line parser reads it only if that fails.
+    ``protosemi-dataset v2 n=<n> d=<D> k=<K>``, which ``save_dataset``
+    writes, is followed by three ``.npy`` 1.0 records and nothing else:
+    the features, ``<f8`` (n, D) in C order, then the working and the true
+    labels, each ``<i8`` (n,).  No record is unpickled.  ``protosemi-dataset
+    v1``, the text format, is read only: n records follow, one a line, of D
+    floats, the working label and the true label; trailing blank lines are
+    ignored.  A malformed file is a :class:`FormatError` naming it, and the
+    line for v1.
     """
-    count = _line_count(path)
-    if not count:
-        raise FormatError(f"{path}: empty file")
-    # universal newlines: a CRLF file streams as its LF copy would
-    with open(path, encoding="ascii", newline=None) as fh:
-        n, d, k = _parse_header(path, fh.readline().removesuffix("\n"), count - 1)
-        arrays = _parse_records_at_once(fh, d, k, n)
-    if arrays is None:
-        lines = read_lines(path)
-        next(lines)  # the header
-        arrays = _parse_records_by_line(path, lines, d, k, n)
+    arrays, k = _load_v2(path) or _load_v1(path)
     try:
         return NoisyDataset(*arrays, num_classes=k)
     except ParameterError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
 
-def _parse_records_at_once(fh, d: int, k: int, n: int):
-    """(features, working, true) of n records from one ``np.loadtxt`` pass, or None.
+def _load_v2(path):
+    """((features, working, true), k) of a v2 file, or None; a record's data is read only once
+    its header and the file's size check out, so a forged size allocates nothing."""
+    with open(path, "rb") as fh:
+        line = fh.readline(256)
+        if line.split()[:2] != [DATASET_HEADER.encode(), b"v2"]:
+            return None
+        n, d, k = _parse_header(path, line.decode("latin-1").removesuffix("\n"), "v2")
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        arrays = []
+        for (name, dtype), shape in zip(_RECORDS, ((n, d), (n,), (n,))):
+            want = f"{{'descr': '{dtype}', 'fortran_order': False, 'shape': {shape}, }}"
+            lead = fh.read(len(_NPY_MAGIC) + 2)
+            if lead[:-2] != _NPY_MAGIC:
+                raise FormatError(f"{path}: the {name} record is not a .npy 1.0 record")
+            header = fh.read(int.from_bytes(lead[-2:], "little"))
+            if (found := header.decode("latin-1").rstrip(" \n")) != want:
+                raise FormatError(f"{path}: the {name} record's header is {found[:200]!r}, "
+                                  f"expected {want}")
+            left -= len(lead) + len(header) + 8 * math.prod(shape)
+            if left < 0:
+                raise FormatError(f"{path}: the {name} record is truncated")
+            arrays.append(np.fromfile(fh, dtype, math.prod(shape)).reshape(shape))
+    if left:
+        raise FormatError(f"{path}: {left} more byte(s) after the true label record")
+    return arrays, k
 
-    ``fh`` is a text file positioned at the first record.  None when
-    the records hold anything the line parser might read differently or
-    reject: a token loadtxt refuses, a blank line (which loadtxt skips),
-    a non-finite feature or a label out of range.  Both parse floats with
-    ``PyOS_string_to_double`` and split at spaces and tabs, the only
-    whitespace ``read_lines`` lets through, so when this accepts, the
-    line parser gives equal arrays.
-    """
-    dtype = np.dtype([("features", np.float64, (d,)),
-                      ("working", np.int64), ("true", np.int64)])
-    try:
-        with warnings.catch_warnings():
-            # numpy before 2.0 reads a label such as "3.0" with a DeprecationWarning
-            warnings.simplefilter("error")
-            rows = np.loadtxt(fh, dtype=dtype, comments=None, ndmin=1)
-    except (ValueError, Warning):
-        return None
-    if rows.shape != (n,) or not np.isfinite(rows["features"]).all():
-        return None
-    working, true = rows["working"], rows["true"]
-    if min(working.min(), true.min()) < 0 or max(working.max(), true.max()) >= k:
-        return None
-    return rows["features"].copy(), working, true
+
+def _load_v1(path):
+    """((features, working, true), k) of the v1 text file ``path``, read line by line."""
+    count = _line_count(path)
+    if not count:
+        raise FormatError(f"{path}: empty file")
+    lines = read_lines(path)
+    n, d, k = _parse_header(path, next(lines).removesuffix("\n").removesuffix("\r"), "v1")
+    if count - 1 != n:
+        raise FormatError(f"{path}: expected {n} records, found {count - 1}")
+    return _parse_records_by_line(path, lines, d, k, n), k
 
 
 def _parse_records_by_line(path, lines, d: int, k: int, n: int):

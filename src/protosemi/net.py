@@ -41,10 +41,13 @@ def require_int(name: str, value, low: int) -> int:
 
 
 def require_real(name: str, value, low: float, high: float, bounds: str) -> None:
-    """A ParameterError unless ``value`` is a finite number in the interval ``bounds`` spells."""
-    if not (is_real(value) and -math.inf < value < math.inf
-            and (low < value if bounds[0] == "(" else low <= value)
-            and (value < high if bounds[1] == ")" else value <= high)):
+    """A ParameterError unless ``value`` is a number whose float is finite and in ``bounds``."""
+    try:
+        x = float(value) if is_real(value) else math.nan
+    except OverflowError:  # an int past the float range
+        x = math.nan
+    if not (-math.inf < x < math.inf and (low < x if bounds[0] == "(" else low <= x)
+            and (x < high if bounds[1] == ")" else x <= high)):
         raise ParameterError(f"{name} must be finite and lie in "
                              f"{bounds[0]}{low}, {high}{bounds[1]}, got {value!r}")
 

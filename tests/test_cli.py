@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import bad_v2_files, write_v1_dataset
 from protosemi.cli import main, parse_config_file
 from protosemi.data import load_dataset, round_half_away, save_dataset, NoisyDataset
 from protosemi.errors import FormatError
@@ -309,6 +310,7 @@ class TestTrain:
 
     def test_non_ascii_dataset_exits_two(self, dataset_files, tmp_path, capsys):
         train, heldout = dataset_files
+        write_v1_dataset(load_dataset(train), train)
         lines = train.read_bytes().split(b"\n")
         lines[2] = lines[2].replace(b" ", b"\xc2\xa0", 1)  # a no-break space
         train.write_bytes(b"\n".join(lines))
@@ -320,6 +322,7 @@ class TestTrain:
 
     def test_bad_heldout_record_names_its_file(self, dataset_files, tmp_path, capsys):
         train, heldout = dataset_files
+        write_v1_dataset(load_dataset(heldout), heldout)
         lines = heldout.read_text().split("\n")
         lines[2] = lines[2].rsplit(" ", 1)[0] + " 9"  # the true label of line 3
         heldout.write_text("\n".join(lines))
@@ -329,6 +332,18 @@ class TestTrain:
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: {heldout} line 3: true label 9 out of range for k=3\n")
+
+    @pytest.mark.parametrize("bad", list(bad_v2_files(
+        NoisyDataset(np.eye(2), np.arange(2), np.arange(2), 2))))
+    def test_bad_v2_dataset_exits_two(self, dataset_files, tmp_path, capsys, bad):
+        train, heldout = dataset_files
+        train.write_bytes(bad_v2_files(load_dataset(train))[bad])
+        report = tmp_path / "r"
+        code = main(["train", "--config", str(write_config(tmp_path / "run.cfg")),
+                     "--data", str(train), "--heldout", str(heldout), "--report", str(report)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {train}: ")
+        assert not report.exists()
 
     def test_heldout_of_another_dimension_exits_two(self, tmp_path, capsys):
         # a usage error: the one ParameterError a parsed config can still reach
@@ -667,7 +682,7 @@ def _write_report(path, ds):
 
 # each text file this package reads: a writer, then its reader
 _TEXT_FILES = {
-    "dataset": (lambda path, ds: save_dataset(ds, path), load_dataset),
+    "dataset": (lambda path, ds: write_v1_dataset(ds, path), load_dataset),
     "config": (lambda path, ds: write_config(path), parse_config_file),
     "correction_log": (lambda path, ds: save_correction_log(
         synthetic_small_circle_log(ds, corrected=3, right=2), ds, path),

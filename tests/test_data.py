@@ -1,20 +1,17 @@
 """Dataset generation, noise injection, and serialization."""
 
-import io
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import same_arrays
+import helpers
+from helpers import bad_v2_files, same_arrays, write_v1_dataset
 from protosemi import data
 from protosemi.data import (
     NoisyDataset,
-    _parse_records_at_once,
-    _parse_records_by_line,
     class_margin,
     csv_line,
     generate_blobs,
@@ -331,47 +328,6 @@ class TestSerialization:
         assert np.array_equal(back.features, ds.features)  # bit-exact floats
         assert same_arrays(back, ds)
 
-    def test_golden_text(self, tmp_path):
-        feats = np.array([[-0.0, 1e-300], [0.1, -2.5], [123456789.0, 1.0 / 3.0]])
-        ds = NoisyDataset(feats, np.array([2, 0, 1]), np.array([0, 1, 2]), 3)
-        save_dataset(ds, tmp_path / "ds.txt")
-        assert (tmp_path / "ds.txt").read_text(encoding="ascii") == (
-            "protosemi-dataset v1 n=3 d=2 k=3\n"
-            "-0 1e-300 2 0\n"
-            "0.10000000000000001 -2.5 0 1\n"
-            "123456789 0.33333333333333331 1 2\n"
-        )
-
-    @given(n=st.sampled_from([1, 511, 512, 513, 1025]), d=st.integers(1, 4),
-           seed=st.integers(0, 2 ** 32 - 1),
-           drawn=st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                          min_size=1, max_size=8))
-    @settings(max_examples=40, deadline=None)
-    def test_save_matches_savetxt(self, tmp_path_factory, n, d, seed, drawn):
-        rng = np.random.default_rng(seed)
-        pool = np.array([*drawn, -0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300,
-                         1.0, -3.0, 2.0 ** 53, 0.1, 1.0 / 3.0])
-        feats = np.where(rng.random((n, d)) < 0.5, rng.choice(pool, size=(n, d)),
-                         rng.standard_normal((n, d)) * 10.0 ** rng.integers(-300, 300, (n, d)))
-        k = 3
-        working = rng.integers(0, k, n)
-        true = rng.integers(0, k, n)
-        true[:min(n, k)] = np.arange(min(n, k))
-        if n >= k:
-            ds = NoisyDataset(feats, working, true, k)
-        else:
-            # a dataset needs a sample of each class; a one-row table
-            # reaches the writer through a stand-in with the same fields
-            ds = SimpleNamespace(features=feats, working_labels=working, true_labels=true,
-                                 n=n, dim=d, num_classes=k)
-        out = tmp_path_factory.mktemp("save")
-        save_dataset(ds, out / "new.ds")
-        # reference: np.savetxt, which formats one row per % call
-        np.savetxt(out / "ref.ds", np.column_stack([feats, working, true]),
-                   fmt="%.17g", comments="",
-                   header=f"protosemi-dataset v1 n={n} d={d} k={k}")
-        assert (out / "new.ds").read_bytes() == (out / "ref.ds").read_bytes()
-
     def test_save_is_byte_deterministic(self, tmp_path):
         ds = generate_blobs(3, 9, 4, 5.0, 1.0, seed=2)
         save_dataset(ds, tmp_path / "a.txt")
@@ -391,7 +347,7 @@ class TestSerialization:
     def test_truncated_file_is_format_error(self, tmp_path):
         ds = generate_blobs(2, 4, 3, 4.0, 1.0, seed=1)
         path = tmp_path / "ds.txt"
-        save_dataset(ds, path)
+        write_v1_dataset(ds, path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-2]) + "\n")
         with pytest.raises(FormatError):
@@ -411,6 +367,99 @@ class TestSerialization:
         )
         with pytest.raises(FormatError):
             load_dataset(path)
+
+
+def _npy_header(descr, shape, fortran=False) -> str:
+    """The header text of a .npy record, as numpy writes it, less its padding."""
+    return f"{{'descr': '{descr}', 'fortran_order': {fortran}, 'shape': {shape}, }}"
+
+
+_F, _L = _npy_header("<f8", (12, 2)), _npy_header("<i8", (12,))
+
+# each file of bad_v2_files for a d=2, k=3 dataset of n=12, and the text of its FormatError
+_BAD_V2 = {
+    "truncated_record": "{path}: the true label record is truncated",
+    "truncated_header": f"{{path}}: the working label record's header is \"{{'descr':\", "
+                        f"expected {_L}",
+    "trailing_byte": "{path}: 1 more byte(s) after the true label record",
+    "object_dtype": f"{{path}}: the features record's header is "
+                    f"{_npy_header('|O', (12, 2))!r}, expected {_F}",
+    "big_endian": f"{{path}}: the features record's header is "
+                  f"{_npy_header('>f8', (12, 2))!r}, expected {_F}",
+    "fortran_order": f"{{path}}: the features record's header is "
+                     f"{_npy_header('<f8', (12, 2), True)!r}, expected {_F}",
+    "int32_labels": f"{{path}}: the working label record's header is "
+                    f"{_npy_header('<i4', (12,))!r}, expected {_L}",
+    "short_labels": f"{{path}}: the true label record's header is "
+                    f"{_npy_header('<i8', (11,))!r}, expected {_L}",
+    "wide_features": f"{{path}}: the features record's header is "
+                     f"{_npy_header('<f8', (12, 3))!r}, expected {_F}",
+    "npy_version_2": "{path}: the features record is not a .npy 1.0 record",
+    "n_past_the_file": "{path}: the features record is truncated",
+    "nonfinite_feature": "{path}: features must be finite",
+    "label_out_of_range": "{path}: working labels must be one integer in [0, 3) for each of "
+                          "n >= 1 rows, got int64 (12,) for n=12",
+}
+
+
+def _noisy_12():
+    return inject_factual_noise(generate_blobs(3, 4, 2, 5.0, 1.0, seed=1), 0.3, seed=1)
+
+
+def _extreme_values(ds):
+    """``ds`` with features that a text round trip could get wrong: signed zeros, subnormals."""
+    feats = ds.features.copy()
+    feats.flat[:10] = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, 1.0 / 3.0, 2.0 ** 53, -2.5]
+    return NoisyDataset(feats, ds.working_labels, ds.true_labels, ds.num_classes)
+
+
+class TestFormatV2:
+    def test_round_trip_keeps_every_bit(self, tmp_path):
+        ds = _extreme_values(_noisy_12())
+        save_dataset(ds, tmp_path / "ds.ds")
+        back = load_dataset(tmp_path / "ds.ds")
+        assert back.features.dtype == np.float64 and back.features.shape == (12, 2)
+        assert back.features.tobytes() == ds.features.tobytes()  # -0.0 and 5e-324 too
+        assert np.signbit(back.features.flat[0]) and back.features.flat[2] == 5e-324
+        assert same_arrays(back, ds)
+
+    def test_file_is_a_header_line_and_three_npy_records(self, tmp_path):
+        ds = _noisy_12()
+        save_dataset(ds, tmp_path / "ds.ds")
+        with open(tmp_path / "ds.ds", "rb") as fh:
+            assert fh.readline() == b"protosemi-dataset v2 n=12 d=2 k=3\n"
+            for want in (ds.features, ds.working_labels, ds.true_labels):
+                assert np.lib.format.read_magic(fh) == (1, 0)
+                shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+                assert (shape, fortran, dtype.str) == (want.shape, False, want.dtype.str)
+                assert np.fromfile(fh, dtype, want.size).tobytes() == want.tobytes()
+            assert fh.read() == b""
+
+    def test_v1_and_v2_files_load_to_identical_arrays(self, tmp_path):
+        ds = _extreme_values(_noisy_12())
+        write_v1_dataset(ds, tmp_path / "v1.ds")
+        save_dataset(ds, tmp_path / "v2.ds")
+        assert _load_outcome(tmp_path / "v1.ds") == _load_outcome(tmp_path / "v2.ds")
+
+    @pytest.mark.parametrize("name", _BAD_V2)
+    def test_bad_file_is_format_error_naming_it(self, tmp_path, name):
+        path = tmp_path / "bad.ds"
+        path.write_bytes(bad_v2_files(_noisy_12())[name])
+        with pytest.raises(FormatError) as info:
+            load_dataset(path)
+        assert str(info.value) == _BAD_V2[name].replace("{path}", str(path))
+
+    def test_object_record_is_never_unpickled(self, tmp_path):
+        path = tmp_path / "bad.ds"
+        path.write_bytes(bad_v2_files(_noisy_12())["object_dtype"])
+        with pytest.raises(FormatError):
+            load_dataset(path)
+        assert helpers.UNPICKLED == []
+        with open(path, "rb") as fh:  # the witness: a reader that unpickles runs it
+            fh.readline()
+            np.lib.format.read_array(fh, allow_pickle=True)
+        assert helpers.UNPICKLED == ["unpickled"]  # the one object, pickled once
+        helpers.UNPICKLED.clear()
 
 
 # Loader table: record texts for a d=2, k=3 file with n=3 records.  The
@@ -465,19 +514,6 @@ _ACCEPTED = [
     ("negative_zero", _with_line3("-0 -0.0 1 1")),
     ("subnormal", _with_line3("5e-324 1e-310 1 1")),
 ]
-
-
-# tokens for generated records: valid and invalid floats and labels
-_TOKENS = ["0", "1", "2", "-0", "+1", "01", "1.5", "-.5", "5e-324", "1e999", "nan",
-           "-inf", "3.0", "3e0", "1_0", "#", "x", "0x1", "99999999999999999999", "-1"]
-_SEPARATORS = [" ", "  ", "\t"]
-# most draws are records of four tokens both parsers accept, so that
-# generated records often get past the array pass
-_GOOD_TOKEN = st.sampled_from(["0", "1", "2", "-0", "+1", "01", "1.5", "5e-324"])
-_TOKEN = st.one_of(_GOOD_TOKEN, _GOOD_TOKEN, _GOOD_TOKEN, st.sampled_from(_TOKENS))
-_RECORD_TOKENS = st.one_of(st.lists(_TOKEN, min_size=4, max_size=4),
-                           st.lists(_TOKEN, min_size=4, max_size=4),
-                           st.lists(_TOKEN, min_size=0, max_size=5))
 
 
 def _reference_parse(records, d):
@@ -545,34 +581,6 @@ class TestLoaderTable:
             load_dataset(path)
         assert str(info.value) == f"{path}: class 1 has no samples among the true labels"
 
-    def test_saved_files_take_the_array_pass(self, tmp_path):
-        ds = inject_factual_noise(generate_blobs(4, 30, 5, 5.0, 1.0, seed=8), 0.3, seed=8)
-        path = tmp_path / "ds.txt"
-        save_dataset(ds, path)
-        with open(path, encoding="ascii") as fh:
-            fh.readline()
-            at_once = _parse_records_at_once(fh, ds.dim, ds.num_classes, ds.n)
-        assert at_once is not None
-        records = read_lines(path)
-        next(records)
-        by_line = _parse_records_by_line(path, records, ds.dim, ds.num_classes, ds.n)
-        for got, want in zip(at_once, by_line):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-    @given(st.lists(
-        st.tuples(_RECORD_TOKENS,
-                  st.sampled_from(_SEPARATORS), st.sampled_from(["", " ", "\t"])),
-        min_size=1, max_size=3))
-    @settings(max_examples=300, deadline=None)
-    def test_array_pass_accepts_only_what_the_line_parser_reads_alike(self, lines):
-        records = [pad + sep.join(tokens) + pad for tokens, sep, pad in lines]
-        at_once = _parse_records_at_once(io.StringIO("\n".join(records)), 2, 3, len(records))
-        if at_once is None:
-            return
-        by_line = _parse_records_by_line("-", records, 2, 3, len(records))  # must not raise
-        for got, want in zip(at_once, by_line):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
 
 def _load_outcome(path):
     """The arrays a file loads to, or the text of its FormatError."""
@@ -603,7 +611,7 @@ class TestPlainScan:
             paths[-1].write_bytes(text.encode("ascii"))
         ds = inject_factual_noise(generate_blobs(3, 20, 4, 5.0, 1.0, seed=5), 0.3, seed=5)
         paths.append(tmp_path / "saved.ds")
-        save_dataset(ds, paths[-1])
+        write_v1_dataset(ds, paths[-1])
         return paths
 
     @pytest.mark.parametrize("chunk", [1, 2, 5])
@@ -611,7 +619,7 @@ class TestPlainScan:
         paths = self._table_files(tmp_path)
         readers = [data._line_count, lambda p: list(read_lines(p)), _load_outcome]
         outcomes = [[_outcome(read, p) for p in paths] for read in readers]
-        assert outcomes[0][-1] == 61  # a saved file passes the scan
+        assert outcomes[0][-1] == 61  # a written v1 file passes the scan
         for path, lines in zip(paths, outcomes[1]):
             if isinstance(lines, list):  # the lines, each with its ending, are the file
                 assert "".join(lines).encode("ascii") == path.read_bytes()
@@ -635,8 +643,7 @@ class TestPlainScan:
 
 
 def test_load_peak_memory_is_bounded(tmp_path):
-    # a plain file streams into the array pass: the loader holds neither
-    # the file's text nor a string per record
+    # a v2 file's records are read straight into the arrays returned
     ds = inject_factual_noise(generate_blobs(4, 2500, 16, 6.0, 1.0, seed=1), 0.3, seed=1)
     path = tmp_path / "10k.ds"
     save_dataset(ds, path)
@@ -656,10 +663,11 @@ def test_load_peak_memory_is_bounded(tmp_path):
 
 
 def test_crlf_load_peak_memory_is_bounded(tmp_path):
-    # a CRLF file streams through universal newlines, as an LF one does
+    # a CRLF v1 file is read a chunk at a time, line by line: the loader
+    # holds neither the file's text nor a string per record
     ds = inject_factual_noise(generate_blobs(4, 2500, 16, 6.0, 1.0, seed=1), 0.3, seed=1)
     path = tmp_path / "10k.ds"
-    save_dataset(ds, path)
+    write_v1_dataset(ds, path)
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     started = not tracemalloc.is_tracing()
     if started:

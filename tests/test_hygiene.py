@@ -2,9 +2,11 @@
 
 Checked: the package, the tests and the demos.  The package root is
 exempt, since its imports are its re-exports.  Also checked: the text
-rule of every file the package writes stays in ``data.write_lines`` (no
-other function of the package opens a file to write, and no module
-imports ``csv``), every rng of the package is built in ``net.py``, every
+rule of every text file the package writes stays in ``data.write_lines``
+(no function of the package but it and ``data.save_dataset``, the one
+binary writer, opens a file to write, and no module imports ``csv``), no
+package module can unpickle (none imports ``pickle`` or passes
+``allow_pickle=True``), every rng of the package is built in ``net.py``, every
 range check of a real value is ``net.require_real``, no training code
 names a true label, and the test settings let the session go on past a
 failing property test.
@@ -79,8 +81,30 @@ def test_only_the_text_layer_writes_files(module):
     source = module.read_text()
     writers = [node.name for node in ast.parse(source).body
                if isinstance(node, ast.FunctionDef) and opens_to_write(ast.unparse(node))]
-    expected = ["write_lines"] if module.name == "data.py" else []
+    expected = ["save_dataset", "write_lines"] if module.name == "data.py" else []
     assert writers == expected and len(opens_to_write(source)) == len(expected)
+
+
+def pickle_uses(source: str) -> list:
+    """Lines that import ``pickle`` or pass ``allow_pickle`` anything but a literal False."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Import) and any(a.name == "pickle" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "pickle"
+            or isinstance(node, ast.keyword) and node.arg == "allow_pickle"
+            and not (isinstance(node.value, ast.Constant) and node.value.value is False)]
+
+
+def test_detects_a_pickle_import_and_an_allow_pickle():
+    source = ("import pickle\nfrom pickle import loads\nimport pickletools\n"
+              "np.load(p, allow_pickle=True)\nnp.load(p, allow_pickle=False)\n"
+              "write_array(fh, a, allow_pickle=flag)\nnp.load(p)\n")
+    assert pickle_uses(source) == [1, 2, 4, 6]
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_can_unpickle(module):
+    # a dataset file is data: no package code may turn its bytes into objects
+    assert pickle_uses(module.read_text()) == []
 
 
 def calls_default_rng(source: str) -> list:

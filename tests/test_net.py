@@ -419,6 +419,10 @@ def _just_past(low, high, bounds) -> list:
 @pytest.mark.parametrize("name, value", [
     (name, value) for name, (_, *interval) in REAL_SITES.items()
     for value in [math.nan, math.inf, -math.inf, True, "0.5", *_just_past(*interval)]
+] + [
+    # an int past the float range has no finite float, whatever its sign
+    pytest.param(name, sign * 10**400, id=f"{name}-{'-' if sign < 0 else ''}10**400")
+    for name in REAL_SITES for sign in (1, -1)
 ])
 def test_every_real_parameter_rejects_what_lies_outside_its_interval(tmp_path, name, value):
     check, low, high, bounds = REAL_SITES[name]
