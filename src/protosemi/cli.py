@@ -95,11 +95,14 @@ def _require_distinct(args, inputs: tuple, outputs: tuple) -> None:
 
 def _cmd_gen_data(args) -> int:
     _require_distinct(args, (), ("out", "heldout_out"))
+    if args.heldout_frac is not None and not args.heldout_out:
+        raise ParameterError("--heldout-frac needs --heldout-out")
     ds = generate_blobs(args.classes, args.per_class, args.dim,
                         args.sep, args.spread, args.seed)
     if args.heldout_out:
         # carve the held-out set before injecting noise so it stays clean
-        ds, heldout = split_heldout(ds, args.heldout_frac, args.seed)
+        frac = 0.2 if args.heldout_frac is None else args.heldout_frac
+        ds, heldout = split_heldout(ds, frac, args.seed)
         save_dataset(heldout, args.heldout_out)
         print(f"wrote {args.heldout_out}: n={heldout.n} classes={heldout.num_classes} "
               f"dim={heldout.dim} noise_rate={heldout.noise_rate():.3f}")
@@ -173,8 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True, help="output dataset path")
     gen.add_argument("--heldout-out", default=None, metavar="PATH",
                      help="carve a clean held-out split before noise and write it here")
-    gen.add_argument("--heldout-frac", type=float, default=0.2,
-                     help="held-out fraction used with --heldout-out")
+    gen.add_argument("--heldout-frac", type=float, default=None,
+                     help="held-out fraction used with --heldout-out (default 0.2)")
 
     train = sub.add_parser("train", help="run one training variant")
     train.add_argument("--config", required=True, help="key=value config file")

@@ -210,20 +210,10 @@ def save_dataset(ds: NoisyDataset, path) -> None:
     the labels as ``<i8``, so every value reads back bit for bit.
     """
     with open(path, "wb") as fh:
-        fh.write(f"{DATASET_HEADER} v2 n={ds.n} d={ds.dim} k={ds.num_classes}\n".encode("ascii"))
+        fh.write(f"{_header_line('v2', ds.n, ds.dim, ds.num_classes)}\n".encode("ascii"))
         for array, (_, dtype) in zip((ds.features, ds.working_labels, ds.true_labels), _RECORDS):
             np.lib.format.write_array(fh, np.ascontiguousarray(array, dtype), version=(1, 0),
                                       allow_pickle=False)
-
-
-def _header_field(path, token: str, key: str) -> int:
-    prefix = key + "="
-    if not token.startswith(prefix):
-        raise FormatError(f"{path} line 1: header field {token!r} should look like {key}=<int>")
-    try:
-        return int(token[len(prefix):])
-    except ValueError:
-        raise FormatError(f"{path} line 1: header field {token!r} is not an integer") from None
 
 
 # the bytes that read_lines forbids, and the first byte that breaks its rule
@@ -295,15 +285,23 @@ def _line_count(path) -> int:
     return last
 
 
-def _parse_header(path, line: str, version: str) -> tuple[int, int, int]:
-    """(n, d, k) from the first line of file ``path``, a dataset of format ``version``."""
-    header = line.split()
-    if len(header) != 5 or header[0] != DATASET_HEADER or header[1] != version:
+def _header_line(version: str, n: int, d: int, k: int) -> str:
+    """The first line of a dataset file, less its line end; its only spelling."""
+    return f"{DATASET_HEADER} {version} n={n} d={d} k={k}"
+
+
+_HEADER_FIELDS = re.compile(r"\S+ (v1|v2) n=(\d+) d=(\d+) k=(\d+)")
+
+
+def _parse_header(path, line: str) -> tuple[str, int, int, int]:
+    """(version, n, d, k) of the first line of file ``path``, if ``_header_line`` spells it so."""
+    if found := _HEADER_FIELDS.fullmatch(line):
+        version, n, d, k = found[1], *map(int, found.groups()[1:])
+    if not found or line != _header_line(version, n, d, k):
         raise FormatError(f"{path} line 1: bad header {line!r}")
-    n, d, k = (_header_field(path, token, key) for token, key in zip(header[2:], "ndk"))
     if n < 1 or d < 1 or k < 2:
         raise FormatError(f"{path} line 1: header sizes out of range (n={n} d={d} k={k})")
-    return n, d, k
+    return version, n, d, k
 
 
 def load_dataset(path) -> NoisyDataset:
@@ -316,60 +314,53 @@ def load_dataset(path) -> NoisyDataset:
     v1``, the text format, is read only: n records follow, one a line, of D
     floats, the working label and the true label; trailing blank lines are
     ignored.  A malformed file is a :class:`FormatError` naming it, and the
-    line for v1.
+    line for v1 or for a first line that ``_header_line`` would not write.
     """
-    arrays, k = _load_v2(path) or _load_v1(path)
+    with open(path, "rb") as fh:
+        if not (line := fh.readline(256)):
+            raise FormatError(f"{path}: empty file")
+        text = line.decode("latin-1").removesuffix("\n").removesuffix("\r")
+        version, n, d, k = _parse_header(path, text)
+        arrays = (_read_v2_records(path, fh, n, d) if version == "v2"
+                  else _read_v1_records(path, n, d, k))
     try:
         return NoisyDataset(*arrays, num_classes=k)
     except ParameterError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
 
-def _load_v2(path):
-    """((features, working, true), k) of a v2 file, or None; a record's data is read only once
-    its header and the file's size check out, so a forged size allocates nothing."""
-    with open(path, "rb") as fh:
-        line = fh.readline(256)
-        if line.split()[:2] != [DATASET_HEADER.encode(), b"v2"]:
-            return None
-        n, d, k = _parse_header(path, line.decode("latin-1").removesuffix("\n"), "v2")
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        arrays = []
-        for (name, dtype), shape in zip(_RECORDS, ((n, d), (n,), (n,))):
-            want = f"{{'descr': '{dtype}', 'fortran_order': False, 'shape': {shape}, }}"
-            lead = fh.read(len(_NPY_MAGIC) + 2)
-            if lead[:-2] != _NPY_MAGIC:
-                raise FormatError(f"{path}: the {name} record is not a .npy 1.0 record")
-            header = fh.read(int.from_bytes(lead[-2:], "little"))
-            if (found := header.decode("latin-1").rstrip(" \n")) != want:
-                raise FormatError(f"{path}: the {name} record's header is {found[:200]!r}, "
-                                  f"expected {want}")
-            left -= len(lead) + len(header) + 8 * math.prod(shape)
-            if left < 0:
-                raise FormatError(f"{path}: the {name} record is truncated")
-            arrays.append(np.fromfile(fh, dtype, math.prod(shape)).reshape(shape))
+def _read_v2_records(path, fh, n: int, d: int):
+    """(features, working, true) of the v2 records after line 1; each record's data is read only
+    once its header and the file's size check out, so a forged size allocates nothing."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    arrays = []
+    for (name, dtype), shape in zip(_RECORDS, ((n, d), (n,), (n,))):
+        want = f"{{'descr': '{dtype}', 'fortran_order': False, 'shape': {shape}, }}"
+        lead = fh.read(len(_NPY_MAGIC) + 2)
+        if lead[:-2] != _NPY_MAGIC:
+            raise FormatError(f"{path}: the {name} record is not a .npy 1.0 record")
+        header = fh.read(int.from_bytes(lead[-2:], "little"))
+        if (found := header.decode("latin-1").rstrip(" \n")) != want:
+            raise FormatError(f"{path}: the {name} record's header is {found[:200]!r}, "
+                              f"expected {want}")
+        left -= len(lead) + len(header) + 8 * math.prod(shape)
+        if left < 0:
+            raise FormatError(f"{path}: the {name} record is truncated")
+        arrays.append(np.fromfile(fh, dtype, math.prod(shape)).reshape(shape))
     if left:
         raise FormatError(f"{path}: {left} more byte(s) after the true label record")
-    return arrays, k
+    return arrays
 
 
-def _load_v1(path):
-    """((features, working, true), k) of the v1 text file ``path``, read line by line."""
-    count = _line_count(path)
-    if not count:
-        raise FormatError(f"{path}: empty file")
-    lines = read_lines(path)
-    n, d, k = _parse_header(path, next(lines).removesuffix("\n").removesuffix("\r"), "v1")
-    if count - 1 != n:
-        raise FormatError(f"{path}: expected {n} records, found {count - 1}")
-    return _parse_records_by_line(path, lines, d, k, n), k
-
-
-def _parse_records_by_line(path, lines, d: int, k: int, n: int):
-    """(features, working, true) of the n records ``lines`` yields from ``path``, by token."""
+def _read_v1_records(path, n: int, d: int, k: int):
+    """(features, working, true) of the n records of the v1 text file ``path``, by token."""
+    if (found := _line_count(path) - 1) != n:
+        raise FormatError(f"{path}: expected {n} records, found {found}")
     features = np.empty((n, d), dtype=np.float64)
     working = np.empty(n, dtype=np.int64)
     true = np.empty(n, dtype=np.int64)
+    lines = read_lines(path)
+    next(lines)  # the header, already parsed
     for i, line in zip(range(n), lines):
         where = f"{path} line {i + 2}"
         parts = line.split()

@@ -33,10 +33,17 @@ def is_real(value) -> bool:
     return is_int(value) or isinstance(value, (float, np.floating))
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for a message; an integer wider than 64 bits by its size alone."""
+    if is_int(value) and (bits := abs(int(value)).bit_length()) > 64:
+        return f"{'a negative' if value < 0 else 'an'} integer of {bits} bits"
+    return repr(value)
+
+
 def require_int(name: str, value, low: int) -> int:
     """``value`` as an int; a ParameterError unless it is an integer >= ``low``."""
     if not is_int(value) or value < low:
-        raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+        raise ParameterError(f"{name} must be an integer >= {low}, got {_shown(value)}")
     return int(value)
 
 
@@ -49,7 +56,7 @@ def require_real(name: str, value, low: float, high: float, bounds: str) -> None
     if not (-math.inf < x < math.inf and (low < x if bounds[0] == "(" else low <= x)
             and (x < high if bounds[1] == ")" else x <= high)):
         raise ParameterError(f"{name} must be finite and lie in "
-                             f"{bounds[0]}{low}, {high}{bounds[1]}, got {value!r}")
+                             f"{bounds[0]}{low}, {high}{bounds[1]}, got {_shown(value)}")
 
 
 def require_labels(name: str, labels, n: int, num_classes: int) -> np.ndarray:
@@ -190,11 +197,9 @@ def init_network(layer_dims, seed: int) -> Network:
     ``layer_dims`` must contain at least one hidden layer so that the
     embedding (network minus final linear layer) exists.
     """
-    dims = [int(d) for d in layer_dims]
+    dims = [require_int("layer dimension", d, 1) for d in layer_dims]
     if len(dims) < 3:
         raise ParameterError("need at least one hidden layer (layer_dims of length >= 3)")
-    if any(d < 1 for d in dims):
-        raise ParameterError("every layer dimension must be at least 1")
     rng = seeded_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):

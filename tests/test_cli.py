@@ -138,6 +138,22 @@ class TestGenData:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_heldout_frac_without_heldout_out_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "x.ds"
+        code = main(["gen-data", "--per-class", "5", "--heldout-frac", "7", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: --heldout-frac needs --heldout-out\n")
+        assert not out.exists()
+
+    def test_a_class_too_small_to_split_exits_two(self, tmp_path, capsys):
+        out, heldout = tmp_path / "x.ds", tmp_path / "h.ds"
+        code = main(["gen-data", "--per-class", "1", "--out", str(out),
+                     "--heldout-out", str(heldout)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: class 0 has fewer than 2 samples; cannot split\n")
+        assert not out.exists() and not heldout.exists()
+
 
 class TestTrain:
     def test_full_run_writes_report_and_prints_summary(self, dataset_files, tmp_path, capsys):
@@ -343,6 +359,21 @@ class TestTrain:
                      "--data", str(train), "--heldout", str(heldout), "--report", str(report)])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {train}: ")
+        assert not report.exists()
+
+    @pytest.mark.parametrize("old, new", [(b" v2 ", b" v3 "), (b"dataset", b"datasat")],
+                             ids=["other_version", "misspelled"])
+    def test_unknown_header_exits_two_naming_line_1(self, dataset_files, tmp_path, capsys,
+                                                     old, new):
+        train, heldout = dataset_files
+        first, rest = train.read_bytes().split(b"\n", 1)
+        train.write_bytes(first.replace(old, new) + b"\n" + rest)
+        report = tmp_path / "r"
+        code = main(["train", "--config", str(write_config(tmp_path / "run.cfg")),
+                     "--data", str(train), "--heldout", str(heldout), "--report", str(report)])
+        assert code == 2
+        line = first.replace(old, new).decode("ascii")
+        assert capsys.readouterr().err == f"error: {train} line 1: bad header {line!r}\n"
         assert not report.exists()
 
     def test_heldout_of_another_dimension_exits_two(self, tmp_path, capsys):

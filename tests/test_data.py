@@ -288,6 +288,11 @@ class TestDatasetValidation:
             NoisyDataset(np.zeros((3, 2)), np.zeros(3, dtype=int),
                          np.zeros(3, dtype=int), num_classes=2)
 
+    @pytest.mark.parametrize("shape", [(0, 2), (2, 0), (2,)])
+    def test_rejects_features_that_are_not_a_nonempty_table(self, shape):
+        with pytest.raises(ParameterError, match="^features must be a nonempty"):
+            NoisyDataset(np.zeros(shape), np.array([0, 1]), np.array([0, 1]), num_classes=2)
+
     def test_rejects_nonfinite_features(self):
         feats = np.zeros((2, 2))
         feats[0, 0] = np.nan
@@ -460,6 +465,56 @@ class TestFormatV2:
             np.lib.format.read_array(fh, allow_pickle=True)
         assert helpers.UNPICKLED == ["unpickled"]  # the one object, pickled once
         helpers.UNPICKLED.clear()
+
+
+_SIZES = "header sizes out of range"
+# first lines of a 12-row, d=2, k=3 file of version {v}, and the error each gives;
+# "bad" is ``bad header <the line's repr>``
+_BAD_FIRST_LINES = {
+    "n_zero": ("protosemi-dataset {v} n=0 d=2 k=3", f"{_SIZES} (n=0 d=2 k=3)"),
+    "d_zero": ("protosemi-dataset {v} n=12 d=0 k=3", f"{_SIZES} (n=12 d=0 k=3)"),
+    "k_one": ("protosemi-dataset {v} n=12 d=2 k=1", f"{_SIZES} (n=12 d=2 k=1)"),
+    "other_version": ("protosemi-dataset v3 n=12 d=2 k=3", "bad"),
+    "misspelled": ("protosemi-datasat {v} n=12 d=2 k=3", "bad"),
+    "leading_zero": ("protosemi-dataset {v} n=012 d=2 k=3", "bad"),
+    "plus_sign": ("protosemi-dataset {v} n=+12 d=2 k=3", "bad"),
+    "underscore": ("protosemi-dataset {v} n=1_2 d=2 k=3", "bad"),
+    "out_of_order": ("protosemi-dataset {v} d=2 n=12 k=3", "bad"),
+    "tab": ("protosemi-dataset {v}\tn=12 d=2 k=3", "bad"),
+    "doubled_space": ("protosemi-dataset {v}  n=12 d=2 k=3", "bad"),
+    "trailing_space": ("protosemi-dataset {v} n=12 d=2 k=3 ", "bad"),
+    "control_byte": ("protosemi-dataset {v} n=12 d=2 k=3\x0b", "bad"),
+    "non_ascii": ("protosemi-dataset {v} n=12 d=2 k=\xb3", "bad"),
+    "blank": ("", "bad"),
+}
+
+
+class TestHeader:
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    @pytest.mark.parametrize("name", _BAD_FIRST_LINES)
+    def test_a_first_line_not_spelled_as_written_is_format_error(self, tmp_path, version, name):
+        path = tmp_path / "bad.ds"
+        (write_v1_dataset if version == "v1" else save_dataset)(_noisy_12(), path)
+        line, error = _BAD_FIRST_LINES[name]
+        line = line.format(v=version)
+        body = path.read_bytes().partition(b"\n")[2]
+        path.write_bytes(line.encode("latin-1") + b"\n" + body)
+        with pytest.raises(FormatError) as info:
+            load_dataset(path)
+        error = f"bad header {line!r}" if error == "bad" else error
+        assert str(info.value) == f"{path} line 1: {error}"
+
+    def test_zero_byte_file_is_empty(self, tmp_path):
+        path = tmp_path / "empty.ds"
+        path.write_bytes(b"")
+        with pytest.raises(FormatError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}: empty file"
+
+    @given(st.sampled_from(["v1", "v2"]), st.integers(1, 10**80), st.integers(1, 10**80),
+           st.integers(2, 10**80))
+    def test_parse_header_reads_back_what_header_line_writes(self, version, n, d, k):
+        assert data._parse_header("f", data._header_line(version, n, d, k)) == (version, n, d, k)
 
 
 # Loader table: record texts for a d=2, k=3 file with n=3 records.  The

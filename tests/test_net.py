@@ -23,6 +23,7 @@ from protosemi.net import (
     cross_entropy_grads,
     init_network,
     one_hot,
+    require_int,
     softmax,
     train_epoch,
 )
@@ -80,6 +81,13 @@ class TestInit:
     def test_no_hidden_layer_rejected(self):
         with pytest.raises(ParameterError):
             init_network([2, 3], seed=0)
+
+    @pytest.mark.parametrize("size", [2.7, True, "5", 0])
+    def test_a_layer_size_that_is_not_a_positive_integer_is_rejected(self, size):
+        # not truncated to 2, 1 or 5
+        with pytest.raises(ParameterError) as info:
+            init_network([4, size, 3], seed=0)
+        assert str(info.value) == f"layer dimension must be an integer >= 1, got {size!r}"
 
     def test_embed_dimension(self):
         net = init_network([2, 4, 3], seed=0)
@@ -423,6 +431,10 @@ def _just_past(low, high, bounds) -> list:
     # an int past the float range has no finite float, whatever its sign
     pytest.param(name, sign * 10**400, id=f"{name}-{'-' if sign < 0 else ''}10**400")
     for name in REAL_SITES for sign in (1, -1)
+] + [
+    # too long for str(), so a message gives its size; a config key reads text, not an int
+    pytest.param(name, sign * 10**5000, id=f"{name}-{'-' if sign < 0 else ''}10**5000")
+    for name in REAL_SITES if name not in ("eval_split", "noise_rate") for sign in (1, -1)
 ])
 def test_every_real_parameter_rejects_what_lies_outside_its_interval(tmp_path, name, value):
     check, low, high, bounds = REAL_SITES[name]
@@ -435,6 +447,17 @@ def test_every_real_parameter_rejects_what_lies_outside_its_interval(tmp_path, n
     if not isinstance(value, (bool, str)):  # a config reads a bool or a quoted string as text
         assert f"{name} must be finite and lie in {bounds[0]}{low}, {high}{bounds[1]}, got " \
             in message
+    assert len(message) < 200
+
+
+@pytest.mark.parametrize("value, shown", [
+    (-1, "-1"), (1 - 2**64, "-18446744073709551615"), (-2**64, "a negative integer of 65 bits"),
+    (-10**5000, "a negative integer of 16610 bits"),
+], ids=["-1", "1-2**64", "-2**64", "-10**5000"])
+def test_require_int_shows_a_long_integer_by_its_size(value, shown):
+    with pytest.raises(ParameterError) as info:
+        require_int("x", value, 0)
+    assert str(info.value) == f"x must be an integer >= 0, got {shown}"
 
 
 @pytest.mark.parametrize("name, value", [
